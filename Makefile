@@ -7,22 +7,25 @@ GO ?= go
 check: vet fmt race
 
 # ci extends check with the differential suites pinned explicitly under the
-# race detector — the bit-identity proofs for the coverage engine
-# (internal/cover), the similarity engine (internal/simcache), the
-# frozen-graph representation (root frozen_diff_test.go), the
-# large-network decomposition (internal/bignet + root bignet_diff_test.go),
-# and the durable-state warm restart (root maintain_persist_test.go) — the
+# race detector at GOMAXPROCS 1, 2 and 4 — the frozen VF2 and MCS/MCCS
+# kernels, the coverage engine (internal/cover) and the similarity engine
+# (internal/simcache) against the reference implementations in
+# internal/oracle, full selections against the recorded golden (root
+# golden_diff_test.go, internal/cluster, internal/core), the large-network
+# decomposition (internal/bignet + root bignet_diff_test.go), and the
+# durable-state warm restart (root maintain_persist_test.go) — the
 # fault-injection chaos suites for the resilience, serving, and snapshot
 # layers (chaos-store is the crash/corruption wall for the state store),
-# the public-API gates (api-lock walk + external-consumer compile smoke),
-# the large-network race + fuzz-seed suite, and the frozen-matcher,
-# serving, large-network, warm-restart, and autocompletion benchmark
-# gates.
+# the public-API gates (api-lock walk, test-only oracle guard and
+# external-consumer compile smoke), the large-network race + fuzz-seed
+# suite, and the frozen-matcher, serving, large-network, warm-restart, and
+# autocompletion benchmark gates.
 ci: check diff-race chaos chaos-store api-lock serve-race bignet-race bench-gate-graph bench-gate-serve bench-gate-bignet bench-gate-restart bench-gate-suggest
 
 # api-lock pins the public facade: the go/types walk fails when an exported
 # root identifier references an internal/ type with no root-package alias,
-# and the external-consumer smoke builds testdata/extconsumer (a separate
+# the oracle guard fails when a non-test file imports internal/oracle, and
+# the external-consumer smoke builds testdata/extconsumer (a separate
 # module) against the facade using only catapult.* names.
 api-lock:
 	$(GO) test -count=1 -run 'TestAPILock|TestExternalConsumer' .
@@ -45,20 +48,24 @@ test:
 race:
 	$(GO) test -race ./...
 
-# diff-race runs only the engine-vs-naive differential tests, under -race
-# and without result caching, so cache-freshness never masks a divergence.
-# Includes the large-network suites: decomposition must be bit-identical
-# across GOMAXPROCS and the text/binary loaders must select identically,
-# and the suggest suite: unbudgeted autocompletion rankings must not
-# depend on GOMAXPROCS.
+# diff-race runs only the differential tests, under -race, without result
+# caching (so cache-freshness never masks a divergence) and at GOMAXPROCS
+# 1, 2 and 4: the frozen matchers and the coverage and similarity engines
+# against internal/oracle (subiso, mcs, cover, simcache, core; the
+# *Match(es)Legacy/Naive and concurrent Hammer tests there), full
+# selections against testdata/differential_golden.json (core, cluster,
+# root), the large-network suites (decomposition bit-identical across
+# GOMAXPROCS, text/binary loaders selecting identically), and the suggest
+# suite (unbudgeted rankings independent of GOMAXPROCS).
 diff-race:
-	$(GO) test -race -count=1 -run 'Differential' ./internal/core/ ./internal/cluster/ ./internal/bignet/ ./internal/suggest/ .
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Differential|Match(es)?(Legacy|Naive)|Hammer' ./internal/subiso/ ./internal/mcs/ ./internal/simcache/ ./internal/cover/ ./internal/core/ ./internal/cluster/ ./internal/bignet/ ./internal/suggest/ .
 
-# chaos runs the fault-injection suite under -race: injected worker panics
-# and stalls in every pipeline phase must degrade — never crash or leak —
-# and the unbounded guarded run must stay bit-identical.
+# chaos runs the fault-injection suite under -race at GOMAXPROCS 1, 2 and
+# 4: injected worker panics and stalls in every pipeline phase must
+# degrade — never crash or leak — and the unbounded guarded run must stay
+# bit-identical.
 chaos:
-	$(GO) test -race -count=1 -run 'Chaos' ./...
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Chaos' ./...
 
 # chaos-store runs the crash/corruption fault-injection wall for the
 # durable state store under -race: a writer killed at byte N of the
@@ -104,14 +111,16 @@ bench: bench-gate bench-gate-cluster bench-gate-resilience bench-gate-graph benc
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # bench-gate runs the coverage-engine regression gate: it writes
-# BENCH_cover.json and fails if the engine path is slower than the naive
-# sequential VF2 loop.
+# BENCH_cover.json and fails if the engine-backed core.Context CCov /
+# UpdateWeights scoring loop is slower than the same loop over the
+# sequential per-CSG verdicts of internal/oracle (same hosts, same weights).
 bench-gate:
 	BENCH_GATE=1 $(GO) test -run '^TestCoverageBenchGate$$' -count=1 .
 
 # bench-gate-cluster runs the similarity-engine regression gate: it writes
-# BENCH_cluster.json and fails if memoized, parallel fine clustering is less
-# than 1.5x faster than the naive sequential MCCS loop.
+# BENCH_cluster.json and fails if a fresh simcache engine answering one
+# BatchCtx per target over the redundant fixture is less than 1.5x faster
+# than the sequential, uncached oracle loop over the same pairs.
 bench-gate-cluster:
 	BENCH_GATE_CLUSTER=1 $(GO) test -run '^TestClusteringBenchGate$$' -count=1 .
 
@@ -124,8 +133,8 @@ bench-gate-resilience:
 
 # bench-gate-graph runs the frozen-graph matcher regression gate: it writes
 # BENCH_graph.json (VF2 containment and MCCS similarity, frozen CSR vs the
-# legacy mutable-graph matchers) and fails if frozen VF2 is less than 1.5x
-# faster.
+# map-graph oracle.Contains and oracle MCCS) and fails if frozen VF2 is less
+# than 1.5x faster.
 bench-gate-graph:
 	BENCH_GATE_GRAPH=1 $(GO) test -run '^TestGraphBenchGate$$' -count=1 .
 

@@ -1,6 +1,7 @@
 package catapult_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -32,7 +33,7 @@ func BenchmarkAblation(b *testing.B) {
 		for _, mode := range modes {
 			opts := mode.opts
 			opts.Seed = 17
-			res, err := catapult.Select(db, catapult.Config{
+			res, err := catapult.SelectCtx(context.Background(), db, catapult.Config{
 				Budget:     core.Budget{EtaMin: 3, EtaMax: 8, Gamma: 10},
 				Clustering: cluster.Config{Strategy: cluster.HybridMCCS, N: 20, MinSupport: 0.1, MCSBudget: 5000},
 				Selection:  opts,

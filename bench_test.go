@@ -10,6 +10,7 @@
 package catapult_test
 
 import (
+	"context"
 	"os"
 	"strconv"
 	"testing"
@@ -96,7 +97,7 @@ func BenchmarkSelectPipeline(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := catapult.Select(db, cfg); err != nil {
+		if _, err := catapult.SelectCtx(context.Background(), db, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -111,14 +112,14 @@ func BenchmarkIncrementalMaintain(b *testing.B) {
 		Clustering: cluster.Config{Strategy: cluster.HybridMCCS, N: 15, MinSupport: 0.1, MCSBudget: 5000},
 		Seed:       9,
 	}
-	m, err := catapult.NewMaintainer(db, cfg)
+	m, err := catapult.NewMaintainerCtx(context.Background(), db, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	batch := dataset.AIDSLike(10, 101).Graphs
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.AddGraphs(batch); err != nil {
+		if _, err := m.AddGraphsCtx(context.Background(), batch); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -113,3 +113,40 @@ func TestDifferentialNetworkFormats(t *testing.T) {
 	}
 	assertSameNetworkResult(t, "text-vs-binary", got, want)
 }
+
+// assertSameResult demands byte-identical selection output: clusters,
+// effective sizes, CSGs, and patterns with their full score breakdowns.
+func assertSameResult(t *testing.T, label string, got, want *catapult.Result) {
+	t.Helper()
+	if got.Exhausted != want.Exhausted {
+		t.Errorf("%s: Exhausted differs: %v vs %v", label, got.Exhausted, want.Exhausted)
+	}
+	if !reflect.DeepEqual(got.Clusters, want.Clusters) {
+		t.Fatalf("%s: clusters diverge\n got:  %v\n want: %v", label, got.Clusters, want.Clusters)
+	}
+	if !reflect.DeepEqual(got.EffectiveSizes, want.EffectiveSizes) {
+		t.Errorf("%s: effective sizes diverge", label)
+	}
+	if len(got.CSGs) != len(want.CSGs) {
+		t.Fatalf("%s: CSG counts differ: %d vs %d", label, len(got.CSGs), len(want.CSGs))
+	}
+	for i := range got.CSGs {
+		if got.CSGs[i].G.String() != want.CSGs[i].G.String() ||
+			!reflect.DeepEqual(got.CSGs[i].Members, want.CSGs[i].Members) {
+			t.Errorf("%s: CSG %d diverges", label, i)
+		}
+	}
+	if len(got.Patterns) != len(want.Patterns) {
+		t.Fatalf("%s: pattern counts differ: %d vs %d", label, len(got.Patterns), len(want.Patterns))
+	}
+	for i := range got.Patterns {
+		pa, pb := got.Patterns[i], want.Patterns[i]
+		if pa.Graph.String() != pb.Graph.String() {
+			t.Errorf("%s: pattern %d differs:\n got:  %v\n want: %v", label, i, pa.Graph, pb.Graph)
+		}
+		if pa.Score != pb.Score || pa.Ccov != pb.Ccov || pa.Lcov != pb.Lcov ||
+			pa.Div != pb.Div || pa.Cog != pb.Cog || pa.SourceCSG != pb.SourceCSG {
+			t.Errorf("%s: pattern %d breakdown differs:\n got:  %+v\n want: %+v", label, i, *pa, *pb)
+		}
+	}
+}

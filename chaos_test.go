@@ -211,12 +211,12 @@ func TestChaosUnboundedBitIdentical(t *testing.T) {
 	for _, seed := range []int64{7, 19, 42} {
 		cfg := stagedConfig()
 		cfg.Seed = seed
-		plain, err := Select(db, cfg)
+		plain, err := SelectCtx(context.Background(), db, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Degradation = resilience.Config{Enabled: true}
-		guarded, err := Select(db, cfg)
+		guarded, err := SelectCtx(context.Background(), db, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,11 +270,11 @@ func TestChaosAggressiveDeadline(t *testing.T) {
 
 	// Warm up once (shared caches, scheduler), then measure the
 	// unconstrained run.
-	if _, err := Select(db, cfg); err != nil {
+	if _, err := SelectCtx(context.Background(), db, cfg); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	full, err := Select(db, cfg)
+	full, err := SelectCtx(context.Background(), db, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestChaosAggressiveDeadline(t *testing.T) {
 
 	cfg.Degradation = resilience.Config{Enabled: true, Deadline: deadline}
 	before := runtime.NumGoroutine()
-	res, err := Select(db, cfg)
+	res, err := SelectCtx(context.Background(), db, cfg)
 	if err != nil {
 		t.Fatalf("deadline-constrained run errored instead of degrading: %v", err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -39,7 +40,7 @@ func main() {
 	}
 
 	// Mine canned patterns for the query interface.
-	res, err := catapult.Select(db, catapult.Config{
+	res, err := catapult.SelectCtx(context.Background(), db, catapult.Config{
 		Budget:     core.Budget{EtaMin: 3, EtaMax: 6, Gamma: 8},
 		Clustering: cluster.Config{Strategy: cluster.HybridMCCS, N: 20, MinSupport: 0.1},
 		Sampling:   catapult.DefaultSampling(),

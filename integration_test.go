@@ -1,6 +1,7 @@
 package catapult
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cluster"
@@ -17,7 +18,7 @@ import (
 
 func TestPipelineInvariants(t *testing.T) {
 	db := dataset.AIDSLike(60, 21)
-	res, err := Select(db, Config{
+	res, err := SelectCtx(context.Background(), db, Config{
 		Budget:     core.Budget{EtaMin: 3, EtaMax: 7, Gamma: 8},
 		Clustering: cluster.Config{Strategy: cluster.HybridMCCS, N: 12, MinSupport: 0.15},
 		Seed:       23,
@@ -76,7 +77,7 @@ func TestPipelineInvariants(t *testing.T) {
 	// against the patterns selected before it.
 	graphsSoFar := res.PatternGraphs()
 	for pi := 1; pi < len(graphsSoFar); pi++ {
-		want, _ := ged.MinDistance(graphsSoFar[pi], graphsSoFar[:pi])
+		want, _, _ := ged.MinDistanceCtx(context.Background(), graphsSoFar[pi], graphsSoFar[:pi])
 		if int(res.Patterns[pi].Div) != want {
 			t.Errorf("pattern %d div = %v, recomputed %d", pi, res.Patterns[pi].Div, want)
 		}
@@ -105,7 +106,7 @@ func TestPipelineInvariants(t *testing.T) {
 // div = 1 for the first pick.
 func TestPipelineFirstScoreConsistent(t *testing.T) {
 	db := dataset.EMolLike(40, 31)
-	res, err := Select(db, Config{
+	res, err := SelectCtx(context.Background(), db, Config{
 		Budget:     core.Budget{EtaMin: 3, EtaMax: 5, Gamma: 5},
 		Clustering: cluster.Config{Strategy: cluster.HybridMCCS, N: 10, MinSupport: 0.15},
 		Seed:       37,

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/treemine"
@@ -8,12 +9,12 @@ import (
 
 func TestCoarseWithFeaturesPartition(t *testing.T) {
 	db := clusteredDB(8)
-	mined := treemine.Mine(db, treemine.MineOptions{MinSupport: 0.2, MaxEdges: 2})
+	mined, _ := treemine.MineCtx(context.Background(), db, treemine.MineOptions{MinSupport: 0.2, MaxEdges: 2})
 	if len(mined) == 0 {
 		t.Fatal("no features mined")
 	}
 	sel := treemine.SelectFeatures(mined, 10)
-	cs := CoarseWithFeatures(db, sel, Config{N: 6, Seed: 3})
+	cs, _ := CoarseWithFeaturesCtx(context.Background(), db, sel, Config{N: 6, Seed: 3})
 	seen := make([]bool, db.Len())
 	for _, c := range cs {
 		for _, m := range c.Members {
@@ -32,9 +33,9 @@ func TestCoarseWithFeaturesPartition(t *testing.T) {
 
 func TestCoarseWithFeaturesSeparatesFamilies(t *testing.T) {
 	db := clusteredDB(10)
-	mined := treemine.Mine(db, treemine.MineOptions{MinSupport: 0.3, MaxEdges: 2})
+	mined, _ := treemine.MineCtx(context.Background(), db, treemine.MineOptions{MinSupport: 0.3, MaxEdges: 2})
 	sel := treemine.SelectFeatures(mined, 10)
-	cs := CoarseWithFeatures(db, sel, Config{N: 10, Seed: 5})
+	cs, _ := CoarseWithFeaturesCtx(context.Background(), db, sel, Config{N: 10, Seed: 5})
 	// Ring graphs (indices < 10) and star graphs share no subtree
 	// features, so no cluster should mix them.
 	for _, c := range cs {
@@ -54,7 +55,7 @@ func TestCoarseWithFeaturesSeparatesFamilies(t *testing.T) {
 
 func TestCoarseWithFeaturesEmptyFeatures(t *testing.T) {
 	db := clusteredDB(3)
-	cs := CoarseWithFeatures(db, nil, Config{N: 4, Seed: 1})
+	cs, _ := CoarseWithFeaturesCtx(context.Background(), db, nil, Config{N: 4, Seed: 1})
 	if len(cs) != 1 || cs[0].Len() != db.Len() {
 		t.Errorf("no features should yield one catch-all cluster, got %d clusters", len(cs))
 	}
@@ -65,9 +66,9 @@ func TestCoarseWithFeaturesMatchesRunCoarse(t *testing.T) {
 	// count should be in the same ballpark as Run with CoarseOnly.
 	db := clusteredDB(10)
 	viaRun := runT(t, db, Config{Strategy: CoarseOnly, N: 5, MinSupport: 0.3, Seed: 9})
-	mined := treemine.Mine(db, treemine.MineOptions{MinSupport: 0.3, MaxEdges: 3})
+	mined, _ := treemine.MineCtx(context.Background(), db, treemine.MineOptions{MinSupport: 0.3, MaxEdges: 3})
 	sel := treemine.SelectFeatures(mined, 40)
-	direct := CoarseWithFeatures(db, sel, Config{N: 5, MinSupport: 0.3, Seed: 9})
+	direct, _ := CoarseWithFeaturesCtx(context.Background(), db, sel, Config{N: 5, MinSupport: 0.3, Seed: 9})
 	if len(direct) == 0 || len(viaRun.Clusters) == 0 {
 		t.Fatal("empty clustering")
 	}

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/mcs"
+	"repro/internal/oracle"
 	"repro/internal/simcache"
 )
 
@@ -140,14 +142,26 @@ func FuzzKMedoidsInvariants(f *testing.F) {
 			t.Fatalf("%d clusters for k=%d over %d graphs", len(cs), k, n)
 		}
 
-		// Differential: the naive engine yields the identical clustering.
-		naive := simcache.New(db.Graphs, simcache.Options{Budget: 500, Naive: true})
-		want, err := KMedoidsCtx(context.Background(), db, k, naive, seed, 5)
-		if err != nil {
-			t.Fatal(err)
+		// Differential: the engine, warm from clustering, answers every
+		// row of the distance matrix exactly as the sequential, uncached
+		// oracle loop does, so the clustering it drove is the oracle's.
+		members := make([]int, n)
+		for i := range members {
+			members[i] = i
 		}
-		if !reflect.DeepEqual(cs, want) {
-			t.Fatalf("engine and naive clusterings diverge:\n engine: %v\n naive:  %v", cs, want)
+		for target := range members {
+			got, err := eng.BatchCtx(context.Background(), members, target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := oracle.Similarities(context.Background(), db.Graphs, mcs.KindMCCS, 500,
+				simcache.DefaultMaxCanonVertices, members, target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("target %d: engine and oracle similarities diverge:\n engine: %v\n oracle: %v", target, got, want)
+			}
 		}
 	})
 }

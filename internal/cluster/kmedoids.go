@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"repro/internal/graph"
-	"repro/internal/mcs"
 	"repro/internal/simcache"
 )
 
@@ -16,19 +15,6 @@ import (
 // k-medoids works directly on structural distances (1 - ωmccs) without
 // feature vectors, trading the subtree-mining stage for pairwise MCCS
 // computations.
-
-// DistanceFunc measures dissimilarity between two data graphs in [0, 1].
-type DistanceFunc func(a, b *graph.Graph) float64
-
-// MCCSDistance returns 1 - ωmccs with the given node budget per
-// computation.
-func MCCSDistance(budget int) DistanceFunc {
-	return func(a, b *graph.Graph) float64 {
-		// context.Background is never cancelled, so the search cannot fail.
-		s, _ := mcs.SimilarityMCCSCtx(context.Background(), a, b, budget)
-		return 1 - s
-	}
-}
 
 // KMedoidsCtx clusters db into at most k clusters with the PAM-style
 // alternating algorithm: medoids seeded by a k-means++-like D² rule,
@@ -41,8 +27,8 @@ func MCCSDistance(budget int) DistanceFunc {
 // par.ForCtx and isomorphic pairs share one memoized MCS/MCCS search.
 // Distances are 1 - similarity under the engine's configured measure.
 // Because every engine value is a pure function of its canonical pair, the
-// resulting clustering is bit-identical for any worker count and to an
-// engine constructed with Options.Naive. On cancellation it returns
+// resulting clustering is bit-identical for any worker count and to a
+// sequential, uncached similarity loop. On cancellation it returns
 // (nil, ctx.Err()).
 func KMedoidsCtx(ctx context.Context, db *graph.DB, k int, eng *simcache.Engine, seed int64, maxIter int) ([]*Cluster, error) {
 	n := db.Len()

@@ -99,12 +99,23 @@ func TestKMedoidsDeterministic(t *testing.T) {
 	}
 }
 
+// TestMCCSDistanceRange checks the distances k-medoids clusters on,
+// 1 - ωmccs through the similarity engine: in [0, 1], and 0 on the
+// diagonal.
 func TestMCCSDistanceRange(t *testing.T) {
 	db := clusteredDB(2)
-	d := MCCSDistance(2000)
-	for i := 0; i < db.Len(); i++ {
-		for j := 0; j < db.Len(); j++ {
-			v := d(db.Graph(i), db.Graph(j))
+	eng := simcache.New(db.Graphs, simcache.Options{Budget: 2000})
+	all := make([]int, db.Len())
+	for i := range all {
+		all[i] = i
+	}
+	for j := 0; j < db.Len(); j++ {
+		sims, err := eng.BatchCtx(context.Background(), all, j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range sims {
+			v := 1 - s
 			if v < 0 || v > 1 {
 				t.Fatalf("distance out of range: %v", v)
 			}

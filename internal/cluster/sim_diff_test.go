@@ -2,9 +2,8 @@ package cluster_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
-	"reflect"
-	"runtime"
 	"testing"
 
 	catapult "repro"
@@ -13,16 +12,20 @@ import (
 	"repro/internal/csg"
 	"repro/internal/dataset"
 	"repro/internal/graph"
+	"repro/internal/oracle"
 	"repro/internal/pipeline"
 )
 
-// Differential tests: clustering with the simcache engine must be
-// bit-identical to the sequential, uncached path — for whole clusterings,
-// for the CSGs built on top of them, and for full pipeline selections —
-// across seeds, strategies and worker counts. The engine is an exact
-// accelerator, not an approximation; these tests are the proof the package
-// doc of internal/simcache points at. Modeled on
-// internal/core/cover_diff_test.go.
+// Differential tests: clustering through the simcache engine must
+// reproduce, bit for bit, the clusterings, CSGs and full pipeline
+// selections recorded in the module's testdata/differential_golden.json
+// with the sequential, uncached similarity path — across seeds, strategies
+// and worker counts. The engine is an exact accelerator, not an
+// approximation; internal/simcache's own tests compare it against
+// internal/oracle pair by pair.
+
+// goldenPath is the golden file, relative to this package's directory.
+const goldenPath = "../../testdata/differential_golden.json"
 
 // permutedCopy returns an isomorphic copy of g with vertices renumbered by
 // a random permutation.
@@ -58,13 +61,9 @@ func members(cs []*cluster.Cluster) [][]int {
 }
 
 // TestDifferentialClusteringBitIdentical runs every fine-clustering
-// strategy with the engine on and off, the engine across worker counts
-// {1, 4, GOMAXPROCS}, and demands byte-identical clusters and CSGs.
+// strategy at GOMAXPROCS {1, 4, default} and demands the recorded
+// clusters and CSGs.
 func TestDifferentialClusteringBitIdentical(t *testing.T) {
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	workerCounts := []int{1, 4, prev}
-
 	strategies := []cluster.Strategy{cluster.FineOnlyMCCS, cluster.HybridMCCS, cluster.HybridMCS}
 	for seed := int64(1); seed <= 3; seed++ {
 		db := redundantDB(seed)
@@ -77,44 +76,27 @@ func TestDifferentialClusteringBitIdentical(t *testing.T) {
 				Seed:       seed,
 				SeedSet:    true,
 			}
-			naiveCfg := cfg
-			naiveCfg.DisableSimCache = true
-			want, err := cluster.RunCtx(context.Background(), db, naiveCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantCSGs := csg.BuildAll(db, members(want.Clusters))
-
-			for _, w := range workerCounts {
-				runtime.GOMAXPROCS(w)
-				got, err := cluster.RunCtx(context.Background(), db, cfg)
-				runtime.GOMAXPROCS(prev)
+			name := fmt.Sprintf("cluster/redundant/seed=%d/%v", seed, st)
+			oracle.CheckProcs(t, name, oracle.Golden(t, goldenPath, name), func() oracle.Run {
+				res, err := cluster.RunCtx(context.Background(), db, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(members(got.Clusters), members(want.Clusters)) {
-					t.Fatalf("seed %d %v workers %d: clusters diverge\n engine: %v\n naive:  %v",
-						seed, st, w, members(got.Clusters), members(want.Clusters))
+				ms := members(res.Clusters)
+				csgs, err := csg.BuildAllCtx(context.Background(), db, ms)
+				if err != nil {
+					t.Fatal(err)
 				}
-				gotCSGs := csg.BuildAll(db, members(got.Clusters))
-				if len(gotCSGs) != len(wantCSGs) {
-					t.Fatalf("seed %d %v workers %d: CSG counts differ", seed, st, w)
-				}
-				for i := range gotCSGs {
-					if gotCSGs[i].G.String() != wantCSGs[i].G.String() ||
-						!reflect.DeepEqual(gotCSGs[i].Members, wantCSGs[i].Members) {
-						t.Errorf("seed %d %v workers %d: CSG %d diverges", seed, st, w, i)
-					}
-				}
-			}
+				return oracle.Run{Clusters: ms, CSGs: oracle.CSGs(csgs)}
+			})
 		}
 	}
 }
 
 // TestDifferentialSelectFacade runs the full pipeline through the public
-// facade with DisableSimCache off and on: byte-identical patterns, score
-// breakdowns, clusters, CSGs and effective sizes — and the counters prove
-// the on-run actually used the cache while the off-run never touched it.
+// facade at GOMAXPROCS {1, 4, default} and demands the recorded patterns,
+// score breakdowns, clusters, CSGs and effective sizes — and the counters
+// prove the runs actually used the similarity cache.
 func TestDifferentialSelectFacade(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		db := redundantDB(seed)
@@ -129,67 +111,29 @@ func TestDifferentialSelectFacade(t *testing.T) {
 			Selection: core.Options{Walks: 6},
 			Seed:      seed,
 		}
-		offCfg := cfg
-		offCfg.DisableSimCache = true
-
-		on, err := catapult.Select(db, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		off, err := catapult.Select(db, offCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		if on.Exhausted != off.Exhausted {
-			t.Errorf("seed %d: Exhausted differs: %v vs %v", seed, on.Exhausted, off.Exhausted)
-		}
-		if !reflect.DeepEqual(on.Clusters, off.Clusters) {
-			t.Fatalf("seed %d: clusters diverge\n on:  %v\n off: %v", seed, on.Clusters, off.Clusters)
-		}
-		if !reflect.DeepEqual(on.EffectiveSizes, off.EffectiveSizes) {
-			t.Errorf("seed %d: effective sizes diverge", seed)
-		}
-		if len(on.CSGs) != len(off.CSGs) {
-			t.Fatalf("seed %d: CSG counts differ: %d vs %d", seed, len(on.CSGs), len(off.CSGs))
-		}
-		for i := range on.CSGs {
-			if on.CSGs[i].G.String() != off.CSGs[i].G.String() ||
-				!reflect.DeepEqual(on.CSGs[i].Members, off.CSGs[i].Members) {
-				t.Errorf("seed %d: CSG %d diverges", seed, i)
+		name := fmt.Sprintf("select/redundant/seed=%d/gamma=4", seed)
+		oracle.CheckProcs(t, name, oracle.Golden(t, goldenPath, name), func() oracle.Run {
+			res, err := catapult.SelectCtx(context.Background(), db, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if len(on.Patterns) != len(off.Patterns) {
-			t.Fatalf("seed %d: pattern counts differ: %d vs %d",
-				seed, len(on.Patterns), len(off.Patterns))
-		}
-		for i := range on.Patterns {
-			pa, pb := on.Patterns[i], off.Patterns[i]
-			if pa.Graph.String() != pb.Graph.String() {
-				t.Errorf("seed %d: pattern %d differs:\n on:  %v\n off: %v",
-					seed, i, pa.Graph, pb.Graph)
+			if res.Counters[pipeline.CounterSimMisses] == 0 {
+				t.Errorf("seed %d: engine run recorded no simcache misses", seed)
 			}
-			if pa.Score != pb.Score || pa.Ccov != pb.Ccov || pa.Lcov != pb.Lcov ||
-				pa.Div != pb.Div || pa.Cog != pb.Cog || pa.SourceCSG != pb.SourceCSG {
-				t.Errorf("seed %d: pattern %d breakdown differs:\n on:  %+v\n off: %+v",
-					seed, i, *pa, *pb)
+			if res.Counters[pipeline.CounterSimHits]+res.Counters[pipeline.CounterClusterPairsPruned] == 0 {
+				t.Errorf("seed %d: engine run shared no searches despite isomorphic twins: %v",
+					seed, res.Counters)
 			}
-		}
-
-		if on.Counters[pipeline.CounterSimMisses] == 0 {
-			t.Errorf("seed %d: engine run recorded no simcache misses", seed)
-		}
-		if on.Counters[pipeline.CounterSimHits]+on.Counters[pipeline.CounterClusterPairsPruned] == 0 {
-			t.Errorf("seed %d: engine run shared no searches despite isomorphic twins: %v",
-				seed, on.Counters)
-		}
-		for _, c := range []pipeline.Counter{
-			pipeline.CounterSimHits, pipeline.CounterSimMisses, pipeline.CounterClusterPairsPruned,
-		} {
-			if off.Counters[c] != 0 {
-				t.Errorf("seed %d: naive run recorded %s = %d, want 0",
-					seed, c, off.Counters[c])
+			run := oracle.Run{
+				Clusters:       res.Clusters,
+				EffectiveSizes: oracle.Bits(res.EffectiveSizes),
+				CSGs:           oracle.CSGs(res.CSGs),
+				Exhausted:      res.Exhausted,
 			}
-		}
+			for _, p := range res.Patterns {
+				run.Patterns = append(run.Patterns, oracle.NewPattern(p.Graph, p.Score, p.Ccov, p.Lcov, p.Div, p.Cog, p.SourceCSG))
+			}
+			return run
+		})
 	}
 }

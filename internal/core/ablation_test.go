@@ -7,6 +7,12 @@ import (
 	"repro/internal/graph"
 )
 
+// scoreWith is scoreWithCtx on a context that is never cancelled.
+func (ctx *Context) scoreWith(p *graph.Graph, selected []*graph.Graph, opts Options) (score, ccov, lcov, div, cog float64) {
+	score, ccov, lcov, div, cog, _ = ctx.scoreWithCtx(context.Background(), p, selected, opts)
+	return score, ccov, lcov, div, cog
+}
+
 func TestScoreWithDisabledDiversity(t *testing.T) {
 	db, csgs := testSetup()
 	ctx := NewContext(db, csgs)

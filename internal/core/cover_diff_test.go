@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -10,18 +11,21 @@ import (
 	"repro/internal/csg"
 	"repro/internal/dataset"
 	"repro/internal/graph"
-	"repro/internal/subiso"
+	"repro/internal/oracle"
 )
 
 // Differential property tests: every scoring quantity computed through the
-// coverage engine must be byte-identical to the naive sequential
-// subiso.Contains oracle — the engine is an exact accelerator, not an
+// coverage engine must be byte-identical to the sequential per-CSG
+// verdicts of internal/oracle — the engine is an exact accelerator, not an
 // approximation. Randomized databases, clusterings and patterns; failures
 // print the offending seed.
 
+// goldenPath is the module's golden file, relative to this package.
+const goldenPath = "../../testdata/differential_golden.json"
+
 // diffSetup builds a randomized database, a random chunked clustering and
-// two identical contexts — one engine-backed, one naive.
-func diffSetup(seed int64) (*graph.DB, []*csg.CSG, *Context, *Context, *rand.Rand) {
+// its engine-backed scoring context.
+func diffSetup(seed int64) (*graph.DB, []*csg.CSG, *Context, *rand.Rand) {
 	rng := rand.New(rand.NewSource(seed))
 	db := dataset.AIDSLike(24+rng.Intn(16), seed)
 	var clusters [][]int
@@ -37,11 +41,32 @@ func diffSetup(seed int64) (*graph.DB, []*csg.CSG, *Context, *Context, *rand.Ran
 		clusters = append(clusters, members)
 		i += n
 	}
-	csgs := csg.BuildAll(db, clusters)
-	engCtx := NewContext(db, csgs)
-	naiveCtx := NewContext(db, csgs)
-	naiveCtx.DisableCoverEngine()
-	return db, csgs, engCtx, naiveCtx, rng
+	csgs, err := csg.BuildAllCtx(context.Background(), db, clusters)
+	if err != nil {
+		panic(err)
+	}
+	return db, csgs, NewContext(db, csgs), rng
+}
+
+// hostsOf returns the CSG summary graphs, the engine's hosts.
+func hostsOf(csgs []*csg.CSG) []*graph.Graph {
+	hosts := make([]*graph.Graph, len(csgs))
+	for i, c := range csgs {
+		hosts[i] = c.G
+	}
+	return hosts
+}
+
+// oracleCCov is ccov over oracle verdicts: the weights of the live CSGs
+// containing p, summed in ascending CSG order.
+func oracleCCov(hosts []*graph.Graph, cw []float64, p *graph.Graph) float64 {
+	total := 0.0
+	for i, ok := range oracle.Verdicts(hosts, p) {
+		if ok && cw[i] > 0 {
+			total += cw[i]
+		}
+	}
+	return total
 }
 
 // diffPatterns draws patterns that are subgraphs of some data graph plus
@@ -67,10 +92,11 @@ func diffPatterns(db *graph.DB, n int, rng *rand.Rand) []*graph.Graph {
 
 func TestDifferentialCCov(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		db, _, engCtx, naiveCtx, rng := diffSetup(seed)
+		db, csgs, engCtx, rng := diffSetup(seed)
+		hosts := hostsOf(csgs)
 		for _, p := range diffPatterns(db, 30, rng) {
-			if a, b := engCtx.CCov(p), naiveCtx.CCov(p); a != b {
-				t.Errorf("seed %d: engine CCov = %v, naive = %v for %v", seed, a, b, p)
+			if a, b := engCtx.CCov(p), oracleCCov(hosts, engCtx.cw, p); a != b {
+				t.Errorf("seed %d: engine CCov = %v, oracle = %v for %v", seed, a, b, p)
 			}
 		}
 	}
@@ -78,13 +104,19 @@ func TestDifferentialCCov(t *testing.T) {
 
 func TestDifferentialUpdateWeights(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		db, csgs, engCtx, naiveCtx, rng := diffSetup(seed)
+		db, csgs, engCtx, rng := diffSetup(seed)
+		hosts := hostsOf(csgs)
+		cw := append([]float64(nil), engCtx.cw...)
 		for _, p := range diffPatterns(db, 10, rng) {
 			engCtx.UpdateWeights(p)
-			naiveCtx.UpdateWeights(p)
+			for i, ok := range oracle.Verdicts(hosts, p) {
+				if ok && cw[i] > 0 {
+					cw[i] *= 0.5
+				}
+			}
 			for i := range csgs {
-				if a, b := engCtx.ClusterWeight(i), naiveCtx.ClusterWeight(i); a != b {
-					t.Fatalf("seed %d: cluster %d weight diverged: engine %v, naive %v",
+				if a, b := engCtx.ClusterWeight(i), cw[i]; a != b {
+					t.Fatalf("seed %d: cluster %d weight diverged: engine %v, oracle %v",
 						seed, i, a, b)
 				}
 			}
@@ -94,25 +126,25 @@ func TestDifferentialUpdateWeights(t *testing.T) {
 
 func TestDifferentialScovLcov(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		db, _, _, _, rng := diffSetup(seed)
+		db, _, _, rng := diffSetup(seed)
 		patterns := diffPatterns(db, 8, rng)
 
 		got, err := ScovCtx(context.Background(), db, patterns)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Naive graph-major oracle, exactly the pre-engine implementation.
+		// Graph-major oracle scan, exactly the pre-engine implementation.
 		covered := bitset.New(db.Len())
 		for gi, g := range db.Graphs {
 			for _, p := range patterns {
-				if subiso.Contains(g, p) {
+				if oracle.Contains(g, p) {
 					covered.Add(gi)
 					break
 				}
 			}
 		}
 		if want := float64(covered.Count()) / float64(db.Len()); got != want {
-			t.Errorf("seed %d: engine Scov = %v, naive = %v", seed, got, want)
+			t.Errorf("seed %d: engine Scov = %v, oracle = %v", seed, got, want)
 		}
 
 		gotL, err := LcovCtx(context.Background(), db, patterns)
@@ -127,70 +159,58 @@ func TestDifferentialScovLcov(t *testing.T) {
 
 func TestDifferentialQueryLogFrequency(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		db, _, engCtx, naiveCtx, rng := diffSetup(seed)
+		db, _, engCtx, rng := diffSetup(seed)
 		log := diffPatterns(db, 12, rng) // stand-in logged queries
 		for _, p := range diffPatterns(db, 10, rng) {
 			a, err := engCtx.queryLogFrequencyCtx(context.Background(), p, log)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := naiveCtx.queryLogFrequencyCtx(context.Background(), p, log)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a != b {
-				t.Errorf("seed %d: engine qfreq = %v, naive = %v for %v", seed, a, b, p)
+			if b := oracleQueryLogFrequency(p, log); a != b {
+				t.Errorf("seed %d: engine qfreq = %v, oracle = %v for %v", seed, a, b, p)
 			}
 		}
 	}
 }
 
-// TestDifferentialSelect runs the full greedy selection with the engine on
-// vs off under fixed seeds: byte-identical pattern sets, score breakdowns
-// and termination behavior.
+// oracleQueryLogFrequency is the fraction of logged queries containing p,
+// by oracle verdicts.
+func oracleQueryLogFrequency(p *graph.Graph, log []*graph.Graph) float64 {
+	hits := 0
+	for _, ok := range oracle.Verdicts(log, p) {
+		if ok {
+			hits++
+		}
+	}
+	return float64(hits) / float64(len(log))
+}
+
+// TestDifferentialSelect runs the full greedy selection through the
+// engine at GOMAXPROCS {1, 4, default} and demands the pattern sets, score
+// breakdowns and termination behavior recorded in the golden file with the
+// sequential oracle scoring path; the counters prove every run exercised
+// the cache.
 func TestDifferentialSelect(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		db, _, engCtx, naiveCtx, _ := diffSetup(seed)
-		b := Budget{EtaMin: 3, EtaMax: 5, Gamma: 6}
-		opts := Options{Walks: 8, Seed: seed, SeedSet: true,
-			QueryLog: diffPatterns(db, 6, rand.New(rand.NewSource(seed^0x5eed)))}
-
-		ra, err := SelectCtx(context.Background(), engCtx, b, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := SelectCtx(context.Background(), naiveCtx, b, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ra.Iterations != rb.Iterations || ra.Exhausted != rb.Exhausted {
-			t.Fatalf("seed %d: run shape differs: (%d, %v) vs (%d, %v)",
-				seed, ra.Iterations, ra.Exhausted, rb.Iterations, rb.Exhausted)
-		}
-		if len(ra.Patterns) != len(rb.Patterns) {
-			t.Fatalf("seed %d: pattern counts differ: %d vs %d",
-				seed, len(ra.Patterns), len(rb.Patterns))
-		}
-		for i := range ra.Patterns {
-			pa, pb := ra.Patterns[i], rb.Patterns[i]
-			if pa.Graph.String() != pb.Graph.String() {
-				t.Errorf("seed %d: pattern %d differs:\n engine: %v\n naive:  %v",
-					seed, i, pa.Graph, pb.Graph)
+		name := fmt.Sprintf("core/diff/seed=%d", seed)
+		oracle.CheckProcs(t, name, oracle.Golden(t, goldenPath, name), func() oracle.Run {
+			db, _, engCtx, _ := diffSetup(seed)
+			b := Budget{EtaMin: 3, EtaMax: 5, Gamma: 6}
+			opts := Options{Walks: 8, Seed: seed, SeedSet: true,
+				QueryLog: diffPatterns(db, 6, rand.New(rand.NewSource(seed^0x5eed)))}
+			r, err := SelectCtx(context.Background(), engCtx, b, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if pa.Score != pb.Score || pa.Ccov != pb.Ccov || pa.Lcov != pb.Lcov ||
-				pa.Div != pb.Div || pa.Cog != pb.Cog || pa.SourceCSG != pb.SourceCSG {
-				t.Errorf("seed %d: pattern %d breakdown differs:\n engine: %+v\n naive:  %+v",
-					seed, i, *pa, *pb)
+			if s := engCtx.CoverStats(); s.Hits == 0 || s.Misses == 0 {
+				t.Errorf("seed %d: engine run had no cache activity: %+v", seed, s)
 			}
-		}
-		// The engine run must actually have exercised the cache, and the
-		// naive context must never have built an engine.
-		if s := engCtx.CoverStats(); s.Hits == 0 || s.Misses == 0 {
-			t.Errorf("seed %d: engine run had no cache activity: %+v", seed, s)
-		}
-		if s := naiveCtx.CoverStats(); s.Hits != 0 || s.Misses != 0 || s.VF2Calls != 0 {
-			t.Errorf("seed %d: naive run touched the engine: %+v", seed, s)
-		}
+			run := oracle.Run{Exhausted: r.Exhausted, Iterations: r.Iterations}
+			for _, p := range r.Patterns {
+				run.Patterns = append(run.Patterns, oracle.NewPattern(p.Graph, p.Score, p.Ccov, p.Lcov, p.Div, p.Cog, p.SourceCSG))
+			}
+			return run
+		})
 	}
 }
 
@@ -198,7 +218,7 @@ func TestDifferentialSelect(t *testing.T) {
 // and Lcov used to ignore context entirely; their Ctx variants must return
 // ctx.Err() when cancelled.
 func TestScovLcovCtxCancelled(t *testing.T) {
-	db, _, _, _, rng := diffSetup(1)
+	db, _, _, rng := diffSetup(1)
 	patterns := diffPatterns(db, 4, rng)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

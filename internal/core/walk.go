@@ -111,22 +111,14 @@ func weightedPick(es []graph.Edge, weights map[graph.Edge]float64, rng *rand.Ran
 	return es[len(es)-1]
 }
 
-// GenerateFCP derives the final candidate pattern of a CSG for one size:
-// Walks random walks populate the PCP library, then the FCP is grown from
-// the library's most frequent edge, at each step appending the most
+// GenerateFCPCtx derives the final candidate pattern of a CSG for one
+// size: Walks random walks populate the PCP library, then the FCP is grown
+// from the library's most frequent edge, at each step appending the most
 // frequent library edge connected to the partial FCP (Sec 5, Fig 6). The
 // returned edge set is materialized as a pattern graph; nil when the CSG
-// cannot produce a connected pattern of exactly eta edges.
-func (ctx *Context) GenerateFCP(c *csg.CSG, eta, walks int, rng *rand.Rand) *graph.Graph {
-	// context.Background is never cancelled, so GenerateFCPCtx cannot fail.
-	p, _ := ctx.GenerateFCPCtx(context.Background(), c, eta, walks, rng)
-	return p
-}
-
-// GenerateFCPCtx is GenerateFCP with cooperative cancellation (checked
-// between walks) and tracing: every walk is counted as CounterWalks on the
-// context's pipeline tracer. Cancellation checks consume no randomness, so
-// an uncancelled run is bit-identical to GenerateFCP.
+// cannot produce a connected pattern of exactly eta edges. Cancellation is
+// checked between walks and consumes no randomness; every walk is counted
+// as CounterWalks on the context's pipeline tracer.
 func (sc *Context) GenerateFCPCtx(stdctx context.Context, c *csg.CSG, eta, walks int, rng *rand.Rand) (*graph.Graph, error) {
 	weights := sc.EdgeWeights(c)
 	tr := pipeline.From(stdctx)

@@ -10,8 +10,8 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/graph"
+	"repro/internal/oracle"
 	"repro/internal/pipeline"
-	"repro/internal/subiso"
 )
 
 // Tests for the verdict cache under concurrency: hammered from parallel
@@ -24,12 +24,12 @@ func TestConcurrentVerdictsHammer(t *testing.T) {
 	e := New(hosts, Options{})
 	pool := randomPatterns(hosts, 30, rng)
 
-	// Precompute the naive oracle per pattern.
+	// Precompute the oracle verdicts per pattern.
 	want := make([][]bool, len(pool))
 	for pi, p := range pool {
 		want[pi] = make([]bool, len(hosts))
 		for hi, h := range hosts {
-			want[pi][hi] = subiso.Contains(h, p)
+			want[pi][hi] = oracle.Contains(h, p)
 		}
 	}
 

@@ -8,8 +8,8 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/graph"
+	"repro/internal/oracle"
 	"repro/internal/pipeline"
-	"repro/internal/subiso"
 )
 
 // randomPatterns draws connected subgraphs from the hosts (guaranteed
@@ -44,7 +44,7 @@ func TestVerdictsMatchNaive(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, h := range hosts {
-			if want := subiso.Contains(h, p); got[i] != want {
+			if want := oracle.Contains(h, p); got[i] != want {
 				t.Fatalf("verdict[%d] = %v, want %v for pattern %v", i, got[i], want, p)
 			}
 		}
@@ -194,13 +194,13 @@ func TestAlreadyCancelled(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// A cancelled batch must not poison the cache: the same query afterwards
-	// succeeds and agrees with the naive oracle.
+	// succeeds and agrees with the oracle.
 	v, err := e.Verdicts(context.Background(), hosts[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, h := range hosts {
-		if want := subiso.Contains(h, hosts[0]); v[i] != want {
+		if want := oracle.Contains(h, hosts[0]); v[i] != want {
 			t.Errorf("verdict[%d] = %v, want %v after cancelled batch", i, v[i], want)
 		}
 	}

@@ -1,6 +1,7 @@
 package csg
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -28,7 +29,7 @@ func TestCSGProperties(t *testing.T) {
 		for i := range members {
 			members[i] = i
 		}
-		c := Build(db, members)
+		c, _ := BuildCtx(context.Background(), db, members)
 		for _, ids := range c.EdgeGraphs {
 			if ids.Len() > n {
 				return false

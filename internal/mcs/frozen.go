@@ -23,14 +23,15 @@ type pair32 struct{ v1, v2 int32 }
 // for concurrent use; the package-level entry points draw from a
 // sync.Pool.
 //
-// The frozen searcher explores the exact same search tree as the legacy
-// mutable-graph searcher: seed pairs are enumerated in the same order and
+// The frozen searcher explores the exact same search tree as the
+// map-graph reference search kept in internal/oracle for the differential
+// tests: seed pairs are enumerated in the same order and
 // sorted with the same comparator and sort implementation; candidates are
 // dedup'd to the same first-occurrence order and then ordered by the same
 // strict total order (gain desc, V1 asc, V2 asc — which any correct sort
 // maps to the same sequence); and node/budget accounting is identical. So
 // MCCS/MCS results, including budget-exhausted suboptimal ones, are
-// bit-identical across the two representations.
+// bit-identical across the two.
 type Searcher struct {
 	f1, f2         *graph.Frozen
 	alive1, alive2 []bool // optional masks (MCS greedy rounds); nil = all alive
@@ -90,9 +91,9 @@ func (s *Searcher) prepare(f1, f2 *graph.Frozen, alive1, alive2 []bool, budget i
 	if alive1 == nil && alive2 == nil && f1 == s.seedsFor1 && f2 == s.seedsFor2 {
 		return
 	}
-	// Same enumeration order and sort call as the legacy seedPairs: the
+	// Same enumeration order and sort call as the reference seedPairs: the
 	// degree-product comparator is not a total order, so reproducing the
-	// legacy tie permutation requires the identical sort on the identical
+	// reference tie permutation requires the identical sort on the identical
 	// input sequence.
 	s.seeds = s.seeds[:0]
 	for v1 := int32(0); int(v1) < f1.NumVertices(); v1++ {
@@ -121,8 +122,8 @@ func (s *Searcher) prepare(f1, f2 *graph.Frozen, alive1, alive2 []bool, budget i
 	}
 }
 
-// run tries every seed pair at the root, mirroring the legacy MCCSCtx
-// root loop.
+// run tries every seed pair at the root, mirroring the reference
+// (oracle.MCCSCtx) root loop.
 func (s *Searcher) run(ctx context.Context) {
 	s.ctx = ctx
 	for _, p := range s.seeds {
@@ -310,8 +311,7 @@ func (s *Searcher) result() Result {
 // polls ctx at node-expansion boundaries and returns ctx.Err() when
 // cancelled. Each call is counted on the context's pipeline tracer
 // (CounterMCSCalls). Both graphs are frozen on first use (memoized on the
-// graphs) and the search runs on the CSR form; see MCCSLegacyCtx for the
-// mutable-representation ablation path.
+// graphs) and the search runs on the CSR form.
 func MCCSCtx(ctx context.Context, g1, g2 *graph.Graph, budget int) (Result, error) {
 	pipeline.From(ctx).Add(pipeline.CounterMCSCalls, 1)
 	if budget <= 0 {
@@ -334,7 +334,8 @@ func MCCSCtx(ctx context.Context, g1, g2 *graph.Graph, budget int) (Result, erro
 // split across component searches. Cancellation is checked between (and
 // inside) the component MCCS searches. The greedy union masks matched
 // vertices instead of tombstone-relabeling graph clones, but round
-// budgets, counters and component searches mirror MCSLegacyCtx exactly.
+// budgets, counters and component searches mirror the map-graph reference
+// (oracle.MCSCtx) exactly.
 func MCSCtx(ctx context.Context, g1, g2 *graph.Graph, budget int) (Result, error) {
 	if budget <= 0 {
 		budget = DefaultBudget

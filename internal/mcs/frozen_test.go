@@ -1,4 +1,4 @@
-package mcs
+package mcs_test
 
 import (
 	"context"
@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/mcs"
+	"repro/internal/oracle"
 	"repro/internal/raceflag"
 )
 
@@ -26,8 +28,8 @@ func randomGraph(rng *rand.Rand, n, m int, labels []string) *graph.Graph {
 }
 
 // TestFrozenSearcherMatchesLegacy cross-checks the frozen MCCS/MCS
-// searcher against the legacy mutable-graph implementation on random
-// pairs, including tight budgets where results depend on the exact
+// searcher against the map-graph reference search in internal/oracle on
+// random pairs, including tight budgets where results depend on the exact
 // exploration order: identical pairs, edge counts and exhaustion flags.
 func TestFrozenSearcherMatchesLegacy(t *testing.T) {
 	labels := []string{"C", "N", "O"}
@@ -36,39 +38,39 @@ func TestFrozenSearcherMatchesLegacy(t *testing.T) {
 	for iter := 0; iter < 120; iter++ {
 		g1 := randomGraph(rng, 4+rng.Intn(8), 3+rng.Intn(10), labels)
 		g2 := randomGraph(rng, 4+rng.Intn(8), 3+rng.Intn(10), labels)
-		for _, budget := range []int{30, 500, DefaultBudget} {
-			want, err := MCCSLegacyCtx(ctx, g1, g2, budget)
+		for _, budget := range []int{30, 500, mcs.DefaultBudget} {
+			want, err := oracle.MCCSCtx(ctx, g1, g2, budget)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := MCCSCtx(ctx, g1, g2, budget)
+			got, err := mcs.MCCSCtx(ctx, g1, g2, budget)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("iter %d budget %d: MCCS diverges\n frozen: %+v\n legacy: %+v\n g1=%v\n g2=%v",
+				t.Fatalf("iter %d budget %d: MCCS diverges\n frozen: %+v\n oracle: %+v\n g1=%v\n g2=%v",
 					iter, budget, got, want, g1, g2)
 			}
 
-			wantM, err := MCSLegacyCtx(ctx, g1, g2, budget)
+			wantM, err := oracle.MCSCtx(ctx, g1, g2, budget)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotM, err := MCSCtx(ctx, g1, g2, budget)
+			gotM, err := mcs.MCSCtx(ctx, g1, g2, budget)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(gotM, wantM) {
-				t.Fatalf("iter %d budget %d: MCS diverges\n frozen: %+v\n legacy: %+v",
+				t.Fatalf("iter %d budget %d: MCS diverges\n frozen: %+v\n oracle: %+v",
 					iter, budget, gotM, wantM)
 			}
 
-			for _, k := range []Kind{KindMCCS, KindMCS} {
-				ws, err := SimilarityKindLegacyCtx(ctx, k, g1, g2, budget)
+			for _, k := range []mcs.Kind{mcs.KindMCCS, mcs.KindMCS} {
+				ws, err := oracle.SimilarityCtx(ctx, k, g1, g2, budget)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gs, err := SimilarityKindCtx(ctx, k, g1, g2, budget)
+				gs, err := mcs.SimilarityKindCtx(ctx, k, g1, g2, budget)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -95,7 +97,7 @@ func TestMCSZeroAllocSteadyState(t *testing.T) {
 	g2 := randomGraph(rng, 10, 14, labels)
 	f1, f2 := g1.Freeze(), g2.Freeze()
 
-	s := NewSearcher()
+	s := mcs.NewSearcher()
 	want := s.SimilarityMCCS(f1, f2, 3000) // warm scratch and seed cache
 	allocs := testing.AllocsPerRun(100, func() {
 		if got := s.SimilarityMCCS(f1, f2, 3000); got != want {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/mcs"
+	"repro/internal/oracle"
 	"repro/internal/pipeline"
 )
 
@@ -38,31 +39,41 @@ func redundantGraphs(nBase, copies int, seed int64) []*graph.Graph {
 	return gs
 }
 
+// oracleBatch is the sequential, uncached reference for e.BatchCtx over
+// graphs gs built with opts.
+func oracleBatch(t *testing.T, gs []*graph.Graph, opts Options, members []int, target int) []float64 {
+	t.Helper()
+	maxCanonV := opts.MaxCanonVertices
+	if maxCanonV <= 0 {
+		maxCanonV = DefaultMaxCanonVertices
+	}
+	want, err := oracle.Similarities(context.Background(), gs, opts.Kind, opts.Budget, maxCanonV, members, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
 func TestEngineMatchesNaive(t *testing.T) {
 	gs := redundantGraphs(6, 2, 11)
 	opts := Options{Kind: mcs.KindMCCS, Budget: 2000}
 	eng := New(gs, opts)
-	naiveOpts := opts
-	naiveOpts.Naive = true
-	naive := New(gs, naiveOpts)
 
 	ctx := context.Background()
 	members := make([]int, 0, len(gs))
 	for i := range gs {
 		members = append(members, i)
 	}
-	for _, target := range []int{0, 3, 7, len(gs) - 1} {
+	targets := []int{0, 3, 7, len(gs) - 1}
+	for _, target := range targets {
 		got, err := eng.BatchCtx(ctx, members, target)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := naive.BatchCtx(ctx, members, target)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := oracleBatch(t, gs, opts, members, target)
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("target %d: sim[%d] = %v engine, %v naive", target, i, got[i], want[i])
+				t.Fatalf("target %d: sim[%d] = %v engine, %v oracle", target, i, got[i], want[i])
 			}
 			if got[i] < 0 || got[i] > 1 {
 				t.Fatalf("sim[%d] = %v outside [0,1]", i, got[i])
@@ -70,16 +81,15 @@ func TestEngineMatchesNaive(t *testing.T) {
 		}
 	}
 
-	es, ns := eng.Stats(), naive.Stats()
-	if ns.Searches != ns.Misses || ns.Hits != 0 || ns.Pruned != 0 {
-		t.Errorf("naive stats inconsistent: %+v", ns)
+	// The oracle searches every requested pair.
+	requested := int64(len(targets) * len(members))
+	es := eng.Stats()
+	if es.Searches >= requested {
+		t.Errorf("engine ran %d searches for %d pairs — memo/dedup saved nothing", es.Searches, requested)
 	}
-	if es.Searches >= ns.Searches {
-		t.Errorf("engine ran %d searches, naive %d — memo/dedup saved nothing", es.Searches, ns.Searches)
-	}
-	if es.Hits+es.Misses != ns.Misses {
+	if es.Hits+es.Misses != requested {
 		t.Errorf("engine hits+misses = %d, want %d (every requested pair accounted)",
-			es.Hits+es.Misses, ns.Misses)
+			es.Hits+es.Misses, requested)
 	}
 }
 
@@ -142,7 +152,7 @@ func TestSelfSimilarityAndEmpty(t *testing.T) {
 
 // TestIdentityKeyFallbacks: graphs that cannot take canonical keys — too
 // large for the cap, or labels the encoding cannot round-trip — must still
-// produce values identical to the naive path (they just forgo sharing).
+// produce values identical to the oracle (they just forgo sharing).
 func TestIdentityKeyFallbacks(t *testing.T) {
 	gs := redundantGraphs(4, 1, 3)
 	weird := graph.New(2, 1)
@@ -153,9 +163,6 @@ func TestIdentityKeyFallbacks(t *testing.T) {
 
 	opts := Options{Budget: 2000, MaxCanonVertices: 8} // below dataset sizes
 	eng := New(gs, opts)
-	naiveOpts := opts
-	naiveOpts.Naive = true
-	naive := New(gs, naiveOpts)
 
 	members := make([]int, len(gs))
 	for i := range members {
@@ -165,13 +172,10 @@ func TestIdentityKeyFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := naive.BatchCtx(context.Background(), members, len(gs)-1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracleBatch(t, gs, opts, members, len(gs)-1)
 	for i := range got {
 		if got[i] != want[i] {
-			t.Errorf("sim[%d] = %v engine, %v naive", i, got[i], want[i])
+			t.Errorf("sim[%d] = %v engine, %v oracle", i, got[i], want[i])
 		}
 	}
 }
@@ -210,26 +214,20 @@ func TestBatchReportsPipelineCounters(t *testing.T) {
 }
 
 // TestKindMCSSupported exercises the unconnected measure through the
-// engine against its naive twin.
+// engine against the oracle.
 func TestKindMCSSupported(t *testing.T) {
 	gs := redundantGraphs(4, 1, 9)
 	opts := Options{Kind: mcs.KindMCS, Budget: 1000}
 	eng := New(gs, opts)
-	naiveOpts := opts
-	naiveOpts.Naive = true
-	naive := New(gs, naiveOpts)
 	members := []int{0, 1, 2, 3, 4, 5}
 	got, err := eng.BatchCtx(context.Background(), members, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := naive.BatchCtx(context.Background(), members, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracleBatch(t, gs, opts, members, 6)
 	for i := range got {
 		if got[i] != want[i] {
-			t.Errorf("mcs sim[%d] = %v engine, %v naive", i, got[i], want[i])
+			t.Errorf("mcs sim[%d] = %v engine, %v oracle", i, got[i], want[i])
 		}
 	}
 }

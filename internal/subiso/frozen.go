@@ -16,12 +16,13 @@ import (
 // materialize a Mapping. A Matcher is not safe for concurrent use; the
 // package-level entry points draw from a sync.Pool.
 //
-// The frozen matcher explores the exact same search tree as the legacy
-// mutable-graph matcher: the matching order is graph.MatchingOrder cached
-// on the Frozen, candidate and neighbor enumeration follow the same
-// sorted order, and node accounting is identical — so Contains,
-// ContainsCtx and ContainsBudget answers (including non-definitive budget
-// exhaustion) are bit-identical across the two representations.
+// The frozen matcher explores the exact same search tree as the map-graph
+// matcher behind FindOne/FindAll: the matching order is
+// graph.MatchingOrder cached on the Frozen, candidate and neighbor
+// enumeration follow the same sorted order, and node accounting is
+// identical — so Contains, ContainsCtx and ContainsBudget answers
+// (including non-definitive budget exhaustion) are bit-identical across
+// the two representations.
 type Matcher struct {
 	t, p     *graph.Frozen
 	order    []int32
@@ -39,6 +40,11 @@ type Matcher struct {
 func NewMatcher() *Matcher { return new(Matcher) }
 
 var matcherPool = sync.Pool{New: func() any { return new(Matcher) }}
+
+// ctxCheckMask throttles cancellation polling: the context is consulted
+// once every 256 expanded search nodes, keeping the overhead of a
+// cancellable search negligible while bounding cancellation latency.
+const ctxCheckMask = 0xff
 
 // reset prepares the scratch state for a search of pattern p in target t.
 func (m *Matcher) reset(t, p *graph.Frozen) {
@@ -79,9 +85,14 @@ func (m *Matcher) Contains(t, p *graph.Frozen) bool {
 	return m.found
 }
 
-// ContainsCtx is Contains with cooperative cancellation, polling ctx once
-// every ctxCheckMask+1 expanded nodes.
+// ContainsCtx is Contains with cooperative cancellation, polling ctx on
+// entry and then once every ctxCheckMask+1 expanded nodes. The entry poll
+// matters for small searches that finish within ctxCheckMask nodes: a
+// search started after its deadline answers ctx.Err(), never a verdict.
 func (m *Matcher) ContainsCtx(ctx context.Context, t, p *graph.Frozen) (bool, error) {
+	if err := ctx.Err(); err != nil {
+		return false, err
+	}
 	if quickRejectFrozen(t, p) {
 		return false, nil
 	}
@@ -135,7 +146,7 @@ func (m *Matcher) search(depth int) {
 	// Candidate enumeration: if pv has an already-mapped pattern neighbor,
 	// candidates are the target neighbors of that neighbor's image;
 	// otherwise every target vertex. Both are iterated in ascending order,
-	// matching the legacy matcher.
+	// matching the map-graph matcher.
 	for _, pn := range m.p.Neighbors(pv) {
 		if m.core[pn] >= 0 {
 			for _, tv := range m.t.Neighbors(m.core[pn]) {
@@ -201,8 +212,7 @@ func quickRejectFrozen(t, p *graph.Frozen) bool {
 // node-expansion boundaries and returns ctx.Err() when cancelled before
 // an answer was established. Each call is counted on the context's
 // pipeline tracer (CounterVF2Calls). Both graphs are frozen on first use
-// (memoized on the graphs), and the search runs on the CSR form; see
-// ContainsLegacyCtx for the mutable-representation ablation path.
+// (memoized on the graphs), and the search runs on the CSR form.
 func ContainsCtx(ctx context.Context, t, p *graph.Graph) (bool, error) {
 	pipeline.From(ctx).Add(pipeline.CounterVF2Calls, 1)
 	m := matcherPool.Get().(*Matcher)
@@ -212,9 +222,8 @@ func ContainsCtx(ctx context.Context, t, p *graph.Graph) (bool, error) {
 }
 
 // Contains reports whether pattern p is subgraph-isomorphic to target t.
-//
-// Deprecated: use ContainsCtx. This wrapper predates PR 1's context plumbing:
-// it runs uncancellable and reports to no pipeline trace.
+// It is the supported context-free form: uncancellable, and it reports to
+// no pipeline trace. Use ContainsCtx inside budgeted or traced runs.
 func Contains(t, p *graph.Graph) bool {
 	m := matcherPool.Get().(*Matcher)
 	ok := m.Contains(t.Freeze(), p.Freeze())

@@ -26,7 +26,7 @@ func randomGraph(rng *rand.Rand, n, m int, labels []string) *graph.Graph {
 }
 
 // TestFrozenMatchesLegacy cross-checks the frozen matcher against the
-// legacy mutable-graph implementation on random (host, pattern) pairs:
+// map-graph matcher behind FindOne on random (host, pattern) pairs:
 // identical answers for Contains, and identical (contained, definitive)
 // pairs for ContainsBudget at tight budgets — the latter only holds
 // because the two matchers expand the exact same search tree in the same
@@ -59,9 +59,6 @@ func TestFrozenMatchesLegacy(t *testing.T) {
 		if got, err := ContainsCtx(context.Background(), host, pat); err != nil || got != legacy {
 			t.Fatalf("iter %d: frozen ContainsCtx=(%v,%v) legacy=%v", iter, got, err, legacy)
 		}
-		if got, err := ContainsLegacyCtx(context.Background(), host, pat); err != nil || got != legacy {
-			t.Fatalf("iter %d: ContainsLegacyCtx=(%v,%v) want %v", iter, got, err, legacy)
-		}
 
 		for _, budget := range []int{1, 5, 50, 100000} {
 			wantC, wantD := func() (bool, bool) {
@@ -81,6 +78,24 @@ func TestFrozenMatchesLegacy(t *testing.T) {
 					iter, budget, gotC, gotD, wantC, wantD)
 			}
 		}
+	}
+}
+
+// TestContainsCtxPollsOnEntry: a search that would finish well within
+// ctxCheckMask nodes still answers ctx.Err() when its context is already
+// done, so a verification started after its deadline never reports a
+// verdict.
+func TestContainsCtxPollsOnEntry(t *testing.T) {
+	host := randomGraph(rand.New(rand.NewSource(3)), 6, 8, []string{"C"})
+	pat := graph.New(1, 0)
+	pat.AddVertex("C")
+	if ok, err := ContainsCtx(context.Background(), host, pat); !ok || err != nil {
+		t.Fatalf("live context: ContainsCtx = (%v, %v), want (true, nil)", ok, err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if ok, err := ContainsCtx(ctx, host, pat); ok || err != context.Canceled {
+		t.Fatalf("cancelled context: ContainsCtx = (%v, %v), want (false, context.Canceled)", ok, err)
 	}
 }
 

@@ -10,10 +10,7 @@
 package subiso
 
 import (
-	"context"
-
 	"repro/internal/graph"
-	"repro/internal/pipeline"
 )
 
 // Mapping maps pattern vertex IDs to target vertex IDs.
@@ -44,35 +41,6 @@ type state struct {
 	results []Mapping
 	yield   func(Mapping) bool // optional callback; return false to stop
 	stopped bool
-	ctx     context.Context // optional; checked every ctxCheckMask+1 nodes
-	ctxErr  error
-}
-
-// ctxCheckMask throttles cancellation polling: the context is consulted
-// once every 256 expanded search nodes, keeping the overhead of a
-// cancellable search negligible while bounding cancellation latency.
-const ctxCheckMask = 0xff
-
-// ContainsLegacyCtx is ContainsCtx on the mutable-graph representation:
-// per-call state allocation, string label comparisons, [][]VertexID
-// adjacency. It explores the exact same search tree as the frozen matcher
-// and exists as the DisableFrozenGraph ablation path and the baseline for
-// the bench-gate-graph microbenchmark.
-func ContainsLegacyCtx(ctx context.Context, t, p *graph.Graph) (bool, error) {
-	pipeline.From(ctx).Add(pipeline.CounterVF2Calls, 1)
-	if quickReject(t, p) {
-		return false, nil
-	}
-	s := newState(t, p, Options{MaxSolutions: 1})
-	s.ctx = ctx
-	s.search(0)
-	if len(s.results) > 0 {
-		return true, nil
-	}
-	if s.ctxErr != nil {
-		return false, s.ctxErr
-	}
-	return false, nil
 }
 
 // FindOne returns one embedding of p in t, or nil if none exists.
@@ -150,15 +118,8 @@ func newState(t, p *graph.Graph, opts Options) *state {
 	for i := range s.core {
 		s.core[i] = -1
 	}
-	s.order = matchingOrder(p)
+	s.order = graph.MatchingOrder(p)
 	return s
-}
-
-// matchingOrder produces a connectivity-respecting order over pattern
-// vertices; the algorithm lives in graph.MatchingOrder so the frozen
-// matcher can cache the identical order per pattern.
-func matchingOrder(p *graph.Graph) []graph.VertexID {
-	return graph.MatchingOrder(p)
 }
 
 func (s *state) search(depth int) {
@@ -168,13 +129,6 @@ func (s *state) search(depth int) {
 	if s.opts.MaxNodes > 0 && s.nodes >= s.opts.MaxNodes {
 		s.stopped = true
 		return
-	}
-	if s.ctx != nil && s.nodes&ctxCheckMask == ctxCheckMask {
-		if err := s.ctx.Err(); err != nil {
-			s.ctxErr = err
-			s.stopped = true
-			return
-		}
 	}
 	s.nodes++
 	if depth == len(s.order) {

@@ -107,6 +107,30 @@ func TestChaosSuggestStallInVerifyDegradesToUnverified(t *testing.T) {
 	checkValid(t, eng, res)
 }
 
+// TestChaosSuggestVerifyFinishingLateDegrades stalls the verification
+// batch after every VF2 search has answered, past the keystroke budget:
+// the verdicts come back complete but late, which must be reported as
+// suggest_verify_budget degradation, never as a completed verification.
+func TestChaosSuggestVerifyFinishingLateDegrades(t *testing.T) {
+	eng := chaosEngine()
+	inj := faultinject.New().StallAfter(pipeline.CounterCoverMisses, 1, 300*time.Millisecond)
+	ctx := pipeline.WithTrace(context.Background(), inj)
+	res, err := eng.SuggestCtx(ctx, path("A", "B"), Options{Budget: 50 * time.Millisecond, TopK: 8})
+	if err != nil {
+		t.Fatalf("late verification must not error, got %v", err)
+	}
+	if got := inj.Fired(); len(got) != 1 {
+		t.Fatalf("injected stall did not fire: %v", got)
+	}
+	if res.Stats.Verified {
+		t.Error("verification reported complete although it finished after the deadline")
+	}
+	if !res.Stats.Degraded || res.Stats.DegradeReason != "suggest_verify_budget" {
+		t.Errorf("stats = %+v, want suggest_verify_budget degradation", res.Stats)
+	}
+	checkValid(t, eng, res)
+}
+
 // TestChaosSuggestWorkerPanicContainedAsStageFault panics inside a VF2
 // verification worker: the fault must surface as a typed
 // *resilience.StageFault on the result — attributed, with the injected

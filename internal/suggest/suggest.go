@@ -264,6 +264,12 @@ func (e *Engine) SuggestCtx(ctx context.Context, q *graph.Graph, opts Options) (
 			res.Stats.Faults++
 			verdicts = nil
 			e.degrade(ctrl, &res.Stats, "suggest_verify_fault")
+		case verr == nil && ctrl != nil && resilience.Salvageable(ctx.Err()):
+			// Every verdict came back, but only after the keystroke
+			// deadline: the verification overran its budget and is
+			// reported as such, never as complete.
+			verdicts = nil
+			e.degrade(ctrl, &res.Stats, "suggest_verify_budget")
 		case verr == nil:
 			res.Stats.Verified = true
 		case ctrl != nil && resilience.Salvageable(verr):

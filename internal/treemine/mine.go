@@ -50,21 +50,11 @@ func (o *MineOptions) defaults() {
 	}
 }
 
-// Mine enumerates frequent free subtrees of db by pattern growth (Chi et
+// MineCtx enumerates frequent free subtrees of db by pattern growth (Chi et
 // al. style): frequent single edges are grown one leaf at a time, with
 // canonical-string deduplication and anti-monotone support pruning (a
 // child's support is counted only within its parent's supporting graphs).
-//
-// Deprecated: use MineCtx. This wrapper predates PR 1's context plumbing:
-// it runs uncancellable and reports to no pipeline trace.
-func Mine(db *graph.DB, opts MineOptions) []*FrequentTree {
-	// context.Background is never cancelled, so MineCtx cannot fail here.
-	trees, _ := MineCtx(context.Background(), db, opts)
-	return trees
-}
-
-// MineCtx is Mine with cooperative cancellation and tracing: the pattern
-// growth checks ctx between parent trees and returns ctx.Err() cleanly
+// The pattern growth checks ctx between parent trees and returns ctx.Err() cleanly
 // (no partial result), and the run is reported to the context's pipeline
 // tracer as StageMine with CounterTreesMined.
 func MineCtx(ctx context.Context, db *graph.DB, opts MineOptions) ([]*FrequentTree, error) {
@@ -240,18 +230,12 @@ func RecountCtx(ctx context.Context, db *graph.DB, trees []*FrequentTree, minSup
 	return out, nil
 }
 
-// FeatureVectors builds the |Tsel|-dimensional binary feature vector of
+// FeatureVectorsCtx builds the |Tsel|-dimensional binary feature vector of
 // every graph in db (Algorithm 2, lines 3-10): bit j is set iff the graph
 // contains tree j. Support lists recorded during mining accelerate the
 // common case where db is the mined database itself; containment is
-// verified with VF2 otherwise.
-func FeatureVectors(db *graph.DB, sel []*FrequentTree) [][]bool {
-	vecs, _ := FeatureVectorsCtx(context.Background(), db, sel)
-	return vecs
-}
-
-// FeatureVectorsCtx is FeatureVectors with cooperative cancellation: the
-// parallel per-graph loop stops claiming graphs once ctx is cancelled.
+// verified with VF2 otherwise. The parallel per-graph loop stops claiming
+// graphs once ctx is cancelled.
 func FeatureVectorsCtx(ctx context.Context, db *graph.DB, sel []*FrequentTree) ([][]bool, error) {
 	vecs := make([][]bool, db.Len())
 	err := par.ForCtx(ctx, db.Len(), func(i int) {

@@ -24,7 +24,7 @@ func TestRecountVerifiesSupports(t *testing.T) {
 	// Mine on a biased "sample" (just the first two graphs) at a low
 	// threshold, then recount on the full database.
 	sample := graph.NewDB("sample", []*graph.Graph{db.Graph(0).Clone(), db.Graph(1).Clone()})
-	mined := Mine(sample, MineOptions{MinSupport: 0.4, MaxEdges: 2})
+	mined, _ := MineCtx(context.Background(), sample, MineOptions{MinSupport: 0.4, MaxEdges: 2})
 	if len(mined) == 0 {
 		t.Fatal("nothing mined from sample")
 	}
@@ -48,7 +48,7 @@ func TestRecountDropsInfrequent(t *testing.T) {
 	db := miningDB()
 	// A tree frequent only in a sample: S-C-O path occurs in 3/6 graphs
 	// (the two stars and the C-O-S path); at min 0.9 recount drops it.
-	mined := Mine(db, MineOptions{MinSupport: 0.2, MaxEdges: 2})
+	mined, _ := MineCtx(context.Background(), db, MineOptions{MinSupport: 0.2, MaxEdges: 2})
 	verified := recountT(t, db, mined, 0.9)
 	for _, ft := range verified {
 		if ft.Frequency(db.Len()) < 0.9 {

@@ -128,17 +128,9 @@ func (mt *Maintainer) EnableMetrics(m *Metrics) {
 	}
 }
 
-// NewMaintainer runs the full pipeline once and returns a maintainer that
-// can absorb subsequent insertions incrementally.
-//
-// Deprecated: use NewMaintainerCtx, which adds cooperative cancellation of
-// the initial pipeline run.
-func NewMaintainer(db *graph.DB, cfg Config) (*Maintainer, error) {
-	return NewMaintainerCtx(context.Background(), db, cfg)
-}
-
-// NewMaintainerCtx is NewMaintainer with cooperative cancellation of the
-// initial pipeline run.
+// NewMaintainerCtx runs the full pipeline once and returns a maintainer
+// that can absorb subsequent insertions incrementally. Cancelling stdctx
+// aborts the initial pipeline run.
 func NewMaintainerCtx(stdctx context.Context, db *graph.DB, cfg Config) (*Maintainer, error) {
 	res, err := SelectCtx(stdctx, db, cfg)
 	if err != nil {
@@ -175,19 +167,10 @@ func (m *Maintainer) NextRetry() time.Time { return m.nextRetry }
 // LastErr returns the error of the most recent failed refresh, or nil.
 func (m *Maintainer) LastErr() error { return m.lastErr }
 
-// AddGraphs inserts new data graphs, updates clustering and CSGs
+// AddGraphsCtx inserts new data graphs, updates clustering and CSGs
 // incrementally and reselects patterns. It returns the pattern-selection
-// duration.
-//
-// Deprecated: use AddGraphsCtx, which adds cooperative cancellation of the
-// refresh (the transactional retry-queue semantics are identical).
-func (m *Maintainer) AddGraphs(gs []*graph.Graph) (time.Duration, error) {
-	return m.AddGraphsCtx(context.Background(), gs)
-}
-
-// AddGraphsCtx is AddGraphs with cooperative cancellation: fine splitting,
-// CSG rebuilds and pattern reselection all check stdctx at their iteration
-// boundaries.
+// duration. Fine splitting, CSG rebuilds and pattern reselection all check
+// stdctx at their iteration boundaries.
 //
 // The update is transactional. On any failure — cancellation included — the
 // maintainer's database, clusters, summaries and pattern set are untouched
@@ -351,9 +334,6 @@ func (m *Maintainer) tryRefresh(stdctx context.Context, gs []*graph.Graph) (time
 
 	start := time.Now()
 	ctx := core.NewContext(db, csgs)
-	if m.cfg.DisableCoverEngine {
-		ctx.DisableCoverEngine()
-	}
 	sel, err := core.SelectCtx(stdctx, ctx, m.cfg.Budget, m.cfg.Selection)
 	if err != nil {
 		return 0, fmt.Errorf("catapult: reselect after insert: %w", err)
