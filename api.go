@@ -220,8 +220,8 @@ type ServeCoverageEntry = serve.CoverageEntry
 type ServeRefreshResponse = serve.RefreshResponse
 
 // NewPatternServer builds an empty pattern service; add tenants with
-// AddTenant and mount it on an HTTP server (standalone or alongside the
-// observability surfaces via EnableObservability + webui EnableAPI).
+// AddTenant and mount it on an HTTP server (standalone, or under /v1/ of
+// the pattern panel and observability handler set cmd/guiserve builds).
 func NewPatternServer(opts PatternServerOptions) *PatternServer { return serve.NewServer(opts) }
 
 // Suggester is the online query-autocompletion engine: given a partial

@@ -23,7 +23,7 @@ func TestGracefulDrainZeroFailures(t *testing.T) {
 	db := dataset.AIDSLike(20, 3)
 	stateDir := t.TempDir()
 	reg := metrics.NewRegistry()
-	srv, m, recovery, err := buildMaintainerServerState(context.Background(), db, testConfig(), reg, stateDir)
+	srv, m, recovery, err := buildServer(context.Background(), db, testConfig(), reg, stateDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestGracefulDrainZeroFailures(t *testing.T) {
 
 	// The flushed state warm-starts a successor serving the same patterns.
 	reg2 := metrics.NewRegistry()
-	_, m2, recovery2, err := buildMaintainerServerState(context.Background(), db, testConfig(), reg2, stateDir)
+	_, m2, recovery2, err := buildServer(context.Background(), db, testConfig(), reg2, stateDir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 
 	catapult "repro"
 	"repro/internal/dataset"
+	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/webui"
 )
@@ -91,14 +92,14 @@ func TestMetricsEndpointMonotoneAcrossRuns(t *testing.T) {
 	db := dataset.AIDSLike(40, 1)
 	reg := metrics.NewRegistry()
 
-	srv, _, err := buildServer(context.Background(), db, testConfig(), reg)
+	srv, _, _, err := buildServer(context.Background(), db, testConfig(), reg, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	first := scrape(t, srv)
 
 	// Second run, same registry: families aggregate.
-	srv2, _, err := buildServer(context.Background(), db, testConfig(), reg)
+	srv2, _, _, err := buildServer(context.Background(), db, testConfig(), reg, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,9 +190,11 @@ func TestMaintainerMetricsExposed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := webui.NewServer(db.Name, mt.Patterns())
-	srv.EnableObservability(reg.Handler(), nil)
-	got := scrape(t, srv)
+	api := catapult.NewPatternServer(catapult.PatternServerOptions{Metrics: reg})
+	if _, err := api.AddTenant(catapult.ServeDefaultTenant, mt.ServeSource()); err != nil {
+		t.Fatal(err)
+	}
+	got := scrape(t, webui.NewServer(api, reg.Handler(), nil))
 	if v := got["catapult_maintainer_refreshes_total"]; v != 1 {
 		t.Errorf("maintainer refreshes = %v, want 1", v)
 	}
@@ -209,15 +212,16 @@ func TestMaintainerMetricsExposed(t *testing.T) {
 	}
 }
 
-// TestServeModeMountsV1API assembles the -serve handler set and drives the
-// v1 surface through the shared mux: the pattern panel and the API answer
+// TestServeModeMountsV1API assembles the handler set (every start, with
+// or without the no-op -serve flag, builds this one) and drives the v1
+// surface through the shared mux: the pattern panel and the API answer
 // side by side, a refresh through POST /v1/tenants/{id}/refresh swaps the
 // snapshot, /healthz reports the snapshot stats, and the scrape carries
 // both the pipeline and the catapult_serve_* families.
 func TestServeModeMountsV1API(t *testing.T) {
 	db := dataset.AIDSLike(30, 3)
 	reg := metrics.NewRegistry()
-	srv, m, err := buildMaintainerServer(context.Background(), db, testConfig(), reg)
+	srv, m, _, err := buildServer(context.Background(), db, testConfig(), reg, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,11 +322,11 @@ func TestServeModeMountsV1API(t *testing.T) {
 }
 
 // TestHealthzAndPprofMounted exercises the other two operational
-// endpoints.
+// endpoints: /healthz reports the serving snapshot's stats.
 func TestHealthzAndPprofMounted(t *testing.T) {
 	db := dataset.AIDSLike(30, 1)
 	reg := metrics.NewRegistry()
-	srv, res, err := buildServer(context.Background(), db, testConfig(), reg)
+	srv, m, _, err := buildServer(context.Background(), db, testConfig(), reg, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,19 +337,81 @@ func TestHealthzAndPprofMounted(t *testing.T) {
 		t.Fatalf("/healthz status = %d", rec.Code)
 	}
 	var h struct {
-		Status   string `json:"status"`
-		Patterns int    `json:"patterns"`
+		Status string              `json:"status"`
+		Serve  catapult.ServeStats `json:"serve"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
 		t.Fatalf("/healthz not JSON: %v", err)
 	}
-	if h.Status != "ok" || h.Patterns != len(res.Patterns) {
-		t.Errorf("/healthz = %+v, want ok with %d patterns", h, len(res.Patterns))
+	if h.Status != "ok" || h.Serve.Patterns != len(m.Patterns()) {
+		t.Errorf("/healthz = %+v, want ok with %d patterns", h, len(m.Patterns()))
 	}
 
 	rec = httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/", nil))
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "goroutine") {
 		t.Errorf("/debug/pprof/ status = %d, body does not look like the pprof index", rec.Code)
+	}
+}
+
+// TestPanelFollowsRefresh drives a refresh that adds graphs through
+// POST /v1/tenants/default/refresh and checks that the panel shows the
+// refreshed snapshot, not the pattern set the server started with: the
+// index carries the new version and exactly Stats.Patterns cards, and
+// each card's DOT is the refreshed /v1/patterns entry. The panel-side
+// search, suggest and JSON endpoints that /v1 replaced answer 404.
+func TestPanelFollowsRefresh(t *testing.T) {
+	srv, _, _, err := buildServer(context.Background(), dataset.AIDSLike(30, 4), testConfig(), metrics.NewRegistry(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	do := func(method, path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec
+	}
+
+	var batch strings.Builder
+	if err := catapult.WriteDB(&batch, dataset.AIDSLike(30, 12)); err != nil {
+		t.Fatal(err)
+	}
+	if rec := do("POST", "/v1/tenants/"+catapult.ServeDefaultTenant+"/refresh", batch.String()); rec.Code != 200 {
+		t.Fatalf("refresh status = %d: %s", rec.Code, rec.Body.String())
+	}
+	var v1 catapult.ServePatternsResponse
+	if err := json.Unmarshal(do("GET", "/v1/patterns", "").Body.Bytes(), &v1); err != nil {
+		t.Fatal(err)
+	}
+	if v1.Stats.Version != 2 || v1.Stats.Graphs != 60 {
+		t.Fatalf("/v1/patterns at %+v, want version 2 over 60 graphs", v1.Stats)
+	}
+
+	index := do("GET", "/", "").Body.String()
+	if want := fmt.Sprintf("(%d patterns, version 2)", v1.Stats.Patterns); !strings.Contains(index, want) {
+		t.Errorf("panel index does not show %q", want)
+	}
+	if cards := strings.Count(index, `class="card"`); cards != v1.Stats.Patterns {
+		t.Errorf("panel shows %d cards, snapshot serves %d patterns", cards, v1.Stats.Patterns)
+	}
+	for i, p := range v1.Patterns {
+		db, err := catapult.ReadDB(strings.NewReader(p.Text), "pattern")
+		if err != nil || db.Len() != 1 {
+			t.Fatalf("pattern %d text does not parse as one graph: %v", i, err)
+		}
+		var want strings.Builder
+		if err := graph.WriteDOT(&want, db.Graph(0), fmt.Sprintf("pattern%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		if got := do("GET", fmt.Sprintf("/pattern/%d.dot", i), "").Body.String(); got != want.String() {
+			t.Errorf("card %d is not the refreshed pattern:\n%s\nwant\n%s", i, got, want.String())
+		}
+	}
+
+	for _, c := range []struct{ method, path string }{
+		{"POST", "/api/search"}, {"POST", "/api/suggest"}, {"GET", "/api/patterns.json"},
+	} {
+		if rec := do(c.method, c.path, v1.Patterns[0].Text); rec.Code != 404 {
+			t.Errorf("%s %s = %d, want 404", c.method, c.path, rec.Code)
+		}
 	}
 }

@@ -58,7 +58,8 @@ type Options struct {
 
 // Server is the multi-tenant pattern service. Create with NewServer, add
 // tenants with AddTenant, and mount it (it implements http.Handler) —
-// standalone or alongside a webui.Server via EnableAPI.
+// standalone, or under /v1/ of a webui.Server, whose panel renders from
+// the default tenant's snapshot.
 type Server struct {
 	opts   Options
 	mux    *http.ServeMux

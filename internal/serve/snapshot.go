@@ -151,11 +151,13 @@ type Snapshot struct {
 
 	// sugg is the autocompletion engine over this snapshot's pattern set;
 	// its containment memo warms across keystrokes, users and coalesced
-	// requests for the snapshot's lifetime. patternTexts are the
-	// pre-rendered transaction-text forms /v1/suggest embeds per
-	// suggestion.
-	sugg         *suggest.Engine
-	patternTexts []string
+	// requests for the snapshot's lifetime.
+	sugg *suggest.Engine
+
+	// views are the pattern projections rendered once at build time: the
+	// GET /v1/patterns entries, the per-suggestion texts of /v1/suggest,
+	// and the cards of the webui panel.
+	views []PatternView
 
 	// patternsBody is the pre-rendered GET /v1/patterns response. Serving
 	// the hot endpoint is a single buffer write — no per-request encoding.
@@ -193,15 +195,14 @@ func BuildSnapshot(tenant string, version uint64, st State) (*Snapshot, error) {
 		engine:   cover.New(st.DB.Graphs, cover.Options{}),
 		sugg:     suggest.NewEngine(st.Patterns),
 	}
-	views := make([]PatternView, len(st.Patterns))
-	s.patternTexts = make([]string, len(st.Patterns))
+	s.views = make([]PatternView, len(st.Patterns))
 	var buf bytes.Buffer
 	for i, p := range st.Patterns {
 		buf.Reset()
 		if err := graph.WriteGraph(&buf, p.Graph); err != nil {
 			return nil, fmt.Errorf("serve: render pattern %d: %w", i, err)
 		}
-		views[i] = PatternView{
+		s.views[i] = PatternView{
 			Index:    i,
 			Vertices: p.Graph.NumVertices(),
 			Edges:    p.Graph.NumEdges(),
@@ -212,9 +213,8 @@ func BuildSnapshot(tenant string, version uint64, st State) (*Snapshot, error) {
 			Cog:      p.Cog,
 			Text:     buf.String(),
 		}
-		s.patternTexts[i] = views[i].Text
 	}
-	body, err := json.Marshal(PatternsResponse{Stats: s.stats, Patterns: views})
+	body, err := json.Marshal(PatternsResponse{Stats: s.stats, Patterns: s.views})
 	if err != nil {
 		return nil, fmt.Errorf("serve: render patterns: %w", err)
 	}
@@ -256,7 +256,15 @@ func (s *Snapshot) Suggest(ctx context.Context, q *graph.Graph, opts suggest.Opt
 
 // PatternText returns the i-th pattern in transaction text format, as
 // pre-rendered at snapshot build time.
-func (s *Snapshot) PatternText(i int) string { return s.patternTexts[i] }
+func (s *Snapshot) PatternText(i int) string { return s.views[i].Text }
+
+// Patterns returns the snapshot's canned pattern set. Callers must not
+// modify the returned slice or the patterns.
+func (s *Snapshot) Patterns() []*core.Pattern { return s.patterns }
+
+// PatternViews returns the pattern projections GET /v1/patterns serves,
+// rendered once at build time. Callers must not modify the returned slice.
+func (s *Snapshot) PatternViews() []PatternView { return s.views }
 
 // CoverageJSON returns the GET /v1/coverage body: per-pattern containment
 // counts over the snapshot's database, computed once per snapshot on first

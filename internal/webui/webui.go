@@ -1,9 +1,11 @@
-// Package webui serves a minimal visual-graph-query-style pattern panel
-// over HTTP: the canned patterns selected by CATAPULT rendered as SVG
-// cards with their score breakdowns, plus JSON and DOT endpoints for
-// downstream tooling, and — via EnableObservability — the operational
-// endpoints of a long-lived pattern service (/metrics, /healthz,
-// /debug/pprof/*). cmd/guiserve wires it to a database.
+// Package webui serves the human-facing pattern panel of a pattern
+// service: the canned patterns of the default tenant of an internal/serve
+// Server, rendered as SVG cards with their score breakdowns and as DOT,
+// on one mux with that server's /v1 API and the operational endpoints of
+// a long-lived process (/metrics, /healthz, /debug/pprof/*). Every panel
+// request loads the tenant's current snapshot once and renders from it,
+// so the panel always shows what GET /v1/patterns serves; it never reads
+// a database or runs a matcher. cmd/guiserve wires it to a Maintainer.
 package webui
 
 import (
@@ -11,98 +13,53 @@ import (
 	"encoding/json"
 	"fmt"
 	"html/template"
-	"io"
 	"net/http"
 	netpprof "net/http/pprof"
 	"strconv"
 	"strings"
 
-	"repro/internal/core"
-	"repro/internal/gindex"
 	"repro/internal/graph"
 	"repro/internal/layout"
-	"repro/internal/suggest"
+	"repro/internal/serve"
 )
 
-// PatternView is the JSON projection of a selected pattern.
-type PatternView struct {
-	Index    int     `json:"index"`
-	Vertices int     `json:"vertices"`
-	Edges    int     `json:"edges"`
-	Score    float64 `json:"score"`
-	Ccov     float64 `json:"ccov"`
-	Lcov     float64 `json:"lcov"`
-	Div      float64 `json:"div"`
-	Cog      float64 `json:"cog"`
-	Text     string  `json:"text"`
-}
-
-// Server exposes a selected pattern set, and optionally subgraph search
-// over the underlying database.
+// Server is the one handler set of a pattern-service listener: the panel,
+// the /v1 API and the operational endpoints.
 type Server struct {
-	DatasetName string
-	Patterns    []*core.Pattern
-	index       *gindex.Index
-	sugg        *suggest.Engine
-	suggOpts    suggest.Options
-	mux         *http.ServeMux
+	api *serve.Server
+	mux *http.ServeMux
 }
 
-// NewServer builds the handler set for the given selection result.
-func NewServer(datasetName string, patterns []*core.Pattern) *Server {
-	s := &Server{DatasetName: datasetName, Patterns: patterns, mux: http.NewServeMux()}
-	s.mux.HandleFunc("/", readOnly(s.handleIndex))
-	s.mux.HandleFunc("/pattern/", readOnly(s.handlePattern))
-	s.mux.HandleFunc("/api/patterns.json", readOnly(s.handleJSON))
-	s.mux.HandleFunc("/api/search", s.handleSearch)
-	s.mux.HandleFunc("/api/suggest", s.handleSuggest)
+// NewServer builds the handler set over api: the read-only panel (/ and
+// /pattern/{i}.svg|.dot) rendering api's default tenant, api itself under
+// /v1/, and the endpoints MountObservability mounts. The panel routes
+// answer GET and HEAD only; other methods get 405 with an Allow header.
+func NewServer(api *serve.Server, metricsHandler http.Handler, health func() any) *Server {
+	s := &Server{api: api, mux: http.NewServeMux()}
+	s.mux.HandleFunc("GET /{$}", s.handleIndex)
+	s.mux.HandleFunc("GET /pattern/{file}", s.handlePattern)
+	s.mux.Handle("/v1/", api)
+	MountObservability(s.mux, metricsHandler, health)
 	return s
 }
 
-// readOnly guards a render handler: anything but GET or HEAD answers 405
-// with an Allow header instead of silently rendering (a POST to the panel
-// is a client bug worth surfacing, not a page view).
-func readOnly(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET, HEAD")
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		h(w, r)
-	}
-}
-
-// EnableSearch attaches a subgraph-search index so POST /api/search can
-// answer queries against the database the patterns were mined from.
-func (s *Server) EnableSearch(idx *gindex.Index) { s.index = idx }
-
-// EnableSuggest attaches an autocompletion engine so POST /api/suggest can
-// rank the panel's patterns as completions of a partial query. opts
-// configures the per-keystroke budget and defaults; the zero value adopts
-// the suggest package defaults (~100ms, top 5).
-func (s *Server) EnableSuggest(eng *suggest.Engine, opts suggest.Options) {
-	s.sugg = eng
-	s.suggOpts = opts
-}
-
-// EnableObservability mounts the operational endpoints of a long-lived
-// pattern service:
+// MountObservability mounts the operational endpoints of a long-lived
+// process on mux:
 //
 //   - /metrics serves metricsHandler (OpenMetrics exposition of a
 //     metrics.Registry),
 //   - /healthz serves health() as JSON with a 200 status (the handler is
 //     liveness: reachable means serving; degradation detail belongs in the
 //     payload), and
-//   - /debug/pprof/* serves the standard Go profiling endpoints on this
-//     server's own mux — CPU profiles taken here carry the pipeline's
-//     per-stage pprof labels (pipeline.WithStage), so
-//     `go tool pprof -tagfocus stage=<name>` attributes samples to stages.
+//   - /debug/pprof/* serves the standard Go profiling endpoints on mux —
+//     CPU profiles taken here carry the pipeline's per-stage pprof labels
+//     (pipeline.WithStage), so `go tool pprof -tagfocus stage=<name>`
+//     attributes samples to stages.
 //
 // health may be nil (the endpoint then reports only {"status":"ok"}).
-func (s *Server) EnableObservability(metricsHandler http.Handler, health func() any) {
-	s.mux.Handle("/metrics", metricsHandler)
-	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+func MountObservability(mux *http.ServeMux, metricsHandler http.Handler, health func() any) {
+	mux.Handle("/metrics", metricsHandler)
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		var payload any = struct {
 			Status string `json:"status"`
 		}{"ok"}
@@ -112,24 +69,29 @@ func (s *Server) EnableObservability(metricsHandler http.Handler, health func() 
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(payload)
 	})
-	s.mux.HandleFunc("/debug/pprof/", netpprof.Index)
-	s.mux.HandleFunc("/debug/pprof/cmdline", netpprof.Cmdline)
-	s.mux.HandleFunc("/debug/pprof/profile", netpprof.Profile)
-	s.mux.HandleFunc("/debug/pprof/symbol", netpprof.Symbol)
-	s.mux.HandleFunc("/debug/pprof/trace", netpprof.Trace)
+	mux.HandleFunc("/debug/pprof/", netpprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", netpprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", netpprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", netpprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", netpprof.Trace)
 }
-
-// EnableAPI mounts the concurrent pattern-serving API (typically an
-// internal/serve Server) under /v1/ on this server's mux, so one listener
-// carries the human-facing panel, the operational endpoints, and the
-// machine-facing serving API.
-func (s *Server) EnableAPI(api http.Handler) { s.mux.Handle("/v1/", api) }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
+// snapshot returns the default tenant's current snapshot, or writes a 404
+// and returns nil when the tenant is not registered.
+func (s *Server) snapshot(w http.ResponseWriter, r *http.Request) *serve.Snapshot {
+	t := s.api.Tenant(serve.DefaultTenant)
+	if t == nil {
+		http.NotFound(w, r)
+		return nil
+	}
+	return t.Snapshot()
+}
+
 var indexTemplate = template.Must(template.New("index").Parse(`<!DOCTYPE html>
-<html><head><title>CATAPULT patterns — {{.Dataset}}</title>
+<html><head><title>CATAPULT patterns — {{.Stats.Dataset}}</title>
 <style>
 body { font-family: sans-serif; margin: 2em; background: #fafafa; }
 h1 { font-size: 1.3em; }
@@ -137,7 +99,7 @@ h1 { font-size: 1.3em; }
 .card { background: white; border: 1px solid #ddd; border-radius: 6px; padding: 8px; width: 180px; }
 .card .meta { font-size: 0.72em; color: #555; margin-top: 4px; }
 </style></head><body>
-<h1>Canned pattern panel — {{.Dataset}} ({{len .Patterns}} patterns)</h1>
+<h1>Canned pattern panel — {{.Stats.Dataset}} ({{.Stats.Patterns}} patterns, version {{.Stats.Version}})</h1>
 <p>Drag targets a visual query builder would expose; scores follow Eq 2 of the paper.</p>
 <div class="panel">
 {{range .Patterns}}
@@ -150,40 +112,20 @@ h1 { font-size: 1.3em; }
   </div>
 {{end}}
 </div>
-{{if .Suggest}}<p>Autocompletion is on: POST a partial query (transaction text
-format) to <code>/api/suggest</code> to rank these patterns as completions.</p>{{end}}
-<p><a href="/api/patterns.json">patterns.json</a></p>
+<p><a href="/v1/patterns">/v1/patterns</a> serves these patterns as JSON, each
+with its transaction text, which POST /v1/search and POST /v1/suggest accept.</p>
 </body></html>`))
 
-func (s *Server) views() []PatternView {
-	out := make([]PatternView, len(s.Patterns))
-	for i, p := range s.Patterns {
-		out[i] = PatternView{
-			Index:    i,
-			Vertices: p.Graph.NumVertices(),
-			Edges:    p.Graph.NumEdges(),
-			Score:    p.Score,
-			Ccov:     p.Ccov,
-			Lcov:     p.Lcov,
-			Div:      p.Div,
-			Cog:      p.Cog,
-			Text:     p.Graph.String(),
-		}
-	}
-	return out
-}
-
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
+	snap := s.snapshot(w, r)
+	if snap == nil {
 		return
 	}
 	var buf bytes.Buffer
 	err := indexTemplate.Execute(&buf, struct {
-		Dataset  string
-		Patterns []PatternView
-		Suggest  bool
-	}{s.DatasetName, s.views(), s.sugg != nil})
+		Stats    serve.Stats
+		Patterns []serve.PatternView
+	}{snap.Stats(), snap.PatternViews()})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -194,137 +136,28 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 
 // handlePattern serves /pattern/<i>.svg and /pattern/<i>.dot.
 func (s *Server) handlePattern(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/pattern/")
-	var (
-		idx int
-		ext string
-		err error
-	)
-	switch {
-	case strings.HasSuffix(rest, ".svg"):
-		ext = "svg"
-		idx, err = strconv.Atoi(strings.TrimSuffix(rest, ".svg"))
-	case strings.HasSuffix(rest, ".dot"):
-		ext = "dot"
-		idx, err = strconv.Atoi(strings.TrimSuffix(rest, ".dot"))
-	default:
+	file := r.PathValue("file")
+	ext := file[strings.LastIndexByte(file, '.')+1:]
+	if ext != "svg" && ext != "dot" {
 		http.NotFound(w, r)
 		return
 	}
-	if err != nil || idx < 0 || idx >= len(s.Patterns) {
+	snap := s.snapshot(w, r)
+	if snap == nil {
+		return
+	}
+	patterns := snap.Patterns()
+	idx, err := strconv.Atoi(strings.TrimSuffix(file, "."+ext))
+	if err != nil || idx < 0 || idx >= len(patterns) {
 		http.NotFound(w, r)
 		return
 	}
-	g := s.Patterns[idx].Graph
-	switch ext {
-	case "svg":
+	g := patterns[idx].Graph
+	if ext == "svg" {
 		w.Header().Set("Content-Type", "image/svg+xml")
 		_, _ = fmt.Fprint(w, layout.SVG(g, layout.SVGOptions{Size: 160, Seed: int64(idx)}))
-	case "dot":
-		w.Header().Set("Content-Type", "text/vnd.graphviz")
-		_ = graph.WriteDOT(w, g, fmt.Sprintf("pattern%d", idx))
-	}
-}
-
-// handleSearch answers POST /api/search: the body is one query graph in
-// transaction text format; the response lists matching graph indices with
-// one witness embedding each.
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST a query graph in transaction text format", http.StatusMethodNotAllowed)
 		return
 	}
-	if s.index == nil {
-		http.Error(w, "search not enabled", http.StatusNotImplemented)
-		return
-	}
-	qdb, err := graph.Read(io.LimitReader(r.Body, 1<<20), "query")
-	if err != nil {
-		http.Error(w, fmt.Sprintf("bad query: %v", err), http.StatusBadRequest)
-		return
-	}
-	if qdb.Len() != 1 {
-		http.Error(w, fmt.Sprintf("need exactly one query graph, got %d", qdb.Len()), http.StatusBadRequest)
-		return
-	}
-	type hit struct {
-		Graph     int   `json:"graph"`
-		Embedding []int `json:"embedding"`
-	}
-	var hits []hit
-	for _, res := range s.index.Search(qdb.Graph(0)) {
-		emb := make([]int, len(res.Embedding))
-		for i, v := range res.Embedding {
-			emb[i] = int(v)
-		}
-		hits = append(hits, hit{Graph: res.GraphIndex, Embedding: emb})
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(struct {
-		Matches int   `json:"matches"`
-		Hits    []hit `json:"hits"`
-	}{len(hits), hits})
-}
-
-// handleSuggest answers POST /api/suggest: the body is one partial query
-// graph in transaction text format; the response ranks the panel's
-// patterns as completions under the engine's per-keystroke budget. ?k=
-// overrides the top-k per call.
-func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "POST a partial query graph in transaction text format", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.sugg == nil {
-		http.Error(w, "suggest not enabled", http.StatusNotImplemented)
-		return
-	}
-	qdb, err := graph.Read(io.LimitReader(r.Body, 1<<20), "partial")
-	if err != nil {
-		http.Error(w, fmt.Sprintf("bad partial query: %v", err), http.StatusBadRequest)
-		return
-	}
-	if qdb.Len() != 1 {
-		http.Error(w, fmt.Sprintf("need exactly one partial query graph, got %d", qdb.Len()), http.StatusBadRequest)
-		return
-	}
-	opts := s.suggOpts
-	if ks := r.URL.Query().Get("k"); ks != "" {
-		k, err := strconv.Atoi(ks)
-		if err != nil || k <= 0 {
-			http.Error(w, fmt.Sprintf("bad k %q", ks), http.StatusBadRequest)
-			return
-		}
-		opts.TopK = k
-	}
-	res, err := s.sugg.SuggestCtx(r.Context(), qdb.Graph(0), opts)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	type suggView struct {
-		suggest.Suggestion
-		Text string `json:"text"`
-	}
-	views := make([]suggView, len(res.Suggestions))
-	for i, sg := range res.Suggestions {
-		views[i] = suggView{Suggestion: sg, Text: s.sugg.Pattern(sg.Pattern).Graph.String()}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(struct {
-		Stats       suggest.Stats `json:"suggest"`
-		Suggestions []suggView    `json:"suggestions"`
-	}{res.Stats, views})
-}
-
-func (s *Server) handleJSON(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(struct {
-		Dataset  string        `json:"dataset"`
-		Patterns []PatternView `json:"patterns"`
-	}{s.DatasetName, s.views()})
+	w.Header().Set("Content-Type", "text/vnd.graphviz")
+	_ = graph.WriteDOT(w, g, fmt.Sprintf("pattern%d", idx))
 }

@@ -1,16 +1,21 @@
 package webui
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/gindex"
 	"repro/internal/graph"
-	"repro/internal/suggest"
+	"repro/internal/metrics"
+	"repro/internal/serve"
 )
 
 func testPatterns() []*core.Pattern {
@@ -33,6 +38,49 @@ func testPatterns() []*core.Pattern {
 	}
 }
 
+// cyclingSource is a serve.Source whose every refresh installs the next
+// pattern set of sets (cyclically), so snapshot version v serves
+// sets[(v-1) % len(sets)].
+type cyclingSource struct {
+	db   *graph.DB
+	sets [][]*core.Pattern
+
+	mu  sync.Mutex
+	cur int
+}
+
+func (c *cyclingSource) State() serve.State {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return serve.State{Dataset: c.db.Name, DB: c.db, Patterns: c.sets[c.cur]}
+}
+
+func (c *cyclingSource) Refresh(ctx context.Context, gs []*graph.Graph) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.cur = (c.cur + 1) % len(c.sets)
+	return nil
+}
+
+// newTestServer builds the handler set over a pattern service whose
+// default tenant serves sets[0] from a database named name.
+func newTestServer(t *testing.T, name string, sets ...[]*core.Pattern) (*Server, *serve.Tenant) {
+	t.Helper()
+	if len(sets) == 0 {
+		sets = [][]*core.Pattern{testPatterns()}
+	}
+	var gs []*graph.Graph
+	for _, p := range testPatterns() {
+		gs = append(gs, p.Graph)
+	}
+	api := serve.NewServer(serve.Options{})
+	tn, err := api.AddTenant(serve.DefaultTenant, &cyclingSource{db: graph.NewDB(name, gs), sets: sets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewServer(api, metrics.NewRegistry().Handler(), nil), tn
+}
+
 func get(t *testing.T, s *Server, path string) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodGet, path, nil)
@@ -42,13 +90,13 @@ func get(t *testing.T, s *Server, path string) *httptest.ResponseRecorder {
 }
 
 func TestIndexPage(t *testing.T) {
-	s := NewServer("test-db", testPatterns())
+	s, _ := newTestServer(t, "test-db")
 	rec := get(t, s, "/")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
 	}
 	body := rec.Body.String()
-	for _, want := range []string{"test-db", "2 patterns", "/pattern/0.svg", "/pattern/1.svg", "score=0.5000"} {
+	for _, want := range []string{"test-db", "2 patterns, version 1", "/pattern/0.svg", "/pattern/1.svg", "score=0.5000", "/v1/patterns"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("index missing %q", want)
 		}
@@ -56,14 +104,14 @@ func TestIndexPage(t *testing.T) {
 }
 
 func TestIndexNotFoundForOtherPaths(t *testing.T) {
-	s := NewServer("x", testPatterns())
+	s, _ := newTestServer(t, "x")
 	if rec := get(t, s, "/nope"); rec.Code != http.StatusNotFound {
 		t.Errorf("status %d, want 404", rec.Code)
 	}
 }
 
 func TestPatternSVG(t *testing.T) {
-	s := NewServer("x", testPatterns())
+	s, _ := newTestServer(t, "x")
 	rec := get(t, s, "/pattern/0.svg")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
@@ -77,7 +125,7 @@ func TestPatternSVG(t *testing.T) {
 }
 
 func TestPatternDOT(t *testing.T) {
-	s := NewServer("x", testPatterns())
+	s, _ := newTestServer(t, "x")
 	rec := get(t, s, "/pattern/1.dot")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
@@ -88,7 +136,7 @@ func TestPatternDOT(t *testing.T) {
 }
 
 func TestPatternBadRequests(t *testing.T) {
-	s := NewServer("x", testPatterns())
+	s, _ := newTestServer(t, "x")
 	for _, path := range []string{"/pattern/99.svg", "/pattern/-1.svg", "/pattern/abc.svg", "/pattern/0.png"} {
 		if rec := get(t, s, path); rec.Code != http.StatusNotFound {
 			t.Errorf("%s: status %d, want 404", path, rec.Code)
@@ -96,77 +144,13 @@ func TestPatternBadRequests(t *testing.T) {
 	}
 }
 
-func TestSearchEndpoint(t *testing.T) {
-	// Database with one C-O-N path; query C-O must hit it.
-	g := graph.New(3, 2)
-	c := g.AddVertex("C")
-	o := g.AddVertex("O")
-	n := g.AddVertex("N")
-	g.MustAddEdge(c, o)
-	g.MustAddEdge(o, n)
-	db := graph.NewDB("sdb", []*graph.Graph{g})
-	idx := gindex.Build(db, gindex.Options{})
-
-	s := NewServer("sdb", testPatterns())
-	s.EnableSearch(idx)
-
-	body := "t # 0\nv 0 C\nv 1 O\ne 0 1\n"
-	req := httptest.NewRequest(http.MethodPost, "/api/search", strings.NewReader(body))
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-	}
-	var out struct {
-		Matches int `json:"matches"`
-		Hits    []struct {
-			Graph     int   `json:"graph"`
-			Embedding []int `json:"embedding"`
-		} `json:"hits"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Matches != 1 || len(out.Hits) != 1 || out.Hits[0].Graph != 0 {
-		t.Errorf("search payload wrong: %+v", out)
-	}
-}
-
-func TestSearchEndpointErrors(t *testing.T) {
-	s := NewServer("x", testPatterns())
-	// Not enabled.
-	req := httptest.NewRequest(http.MethodPost, "/api/search", strings.NewReader("t # 0\nv 0 C\n"))
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	if rec.Code != http.StatusNotImplemented {
-		t.Errorf("disabled search: status %d", rec.Code)
-	}
-	// Enabled: wrong method, bad body, multiple graphs.
-	db := graph.NewDB("d", []*graph.Graph{testPatterns()[0].Graph})
-	s.EnableSearch(gindex.Build(db, gindex.Options{}))
-	if rec := get(t, s, "/api/search"); rec.Code != http.StatusMethodNotAllowed {
-		t.Errorf("GET search: status %d", rec.Code)
-	}
-	req = httptest.NewRequest(http.MethodPost, "/api/search", strings.NewReader("garbage input"))
-	rec = httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("bad body: status %d", rec.Code)
-	}
-	two := "t # 0\nv 0 C\nt # 1\nv 0 C\n"
-	req = httptest.NewRequest(http.MethodPost, "/api/search", strings.NewReader(two))
-	rec = httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("two graphs: status %d", rec.Code)
-	}
-}
-
-// TestErrorPaths walks the render endpoints' failure surface in one table:
-// bad pattern indices, malformed DOT/SVG requests, and wrong methods — the
-// render handlers are read-only and must answer 405, never 200, to writes.
+// TestErrorPaths walks the panel's failure surface in one table: bad
+// pattern indices, malformed DOT/SVG requests, wrong methods — the render
+// handlers are read-only and must answer 405, never 200, to writes — and
+// the former panel-side JSON, search and suggest endpoints, which /v1
+// replaced and which must answer 404 to every method.
 func TestErrorPaths(t *testing.T) {
-	s := NewServer("x", testPatterns())
+	s, _ := newTestServer(t, "x")
 	for _, tc := range []struct {
 		name, method, path, body string
 		want                     int
@@ -175,19 +159,23 @@ func TestErrorPaths(t *testing.T) {
 		{"index HEAD ok", http.MethodHead, "/", "", http.StatusOK},
 		{"index POST", http.MethodPost, "/", "x", http.StatusMethodNotAllowed},
 		{"index DELETE", http.MethodDelete, "/", "", http.StatusMethodNotAllowed},
-		{"json POST", http.MethodPost, "/api/patterns.json", "x", http.StatusMethodNotAllowed},
-		{"json PUT", http.MethodPut, "/api/patterns.json", "x", http.StatusMethodNotAllowed},
+		{"json POST", http.MethodPost, "/api/patterns.json", "x", http.StatusNotFound},
+		{"json PUT", http.MethodPut, "/api/patterns.json", "x", http.StatusNotFound},
+		{"json GET", http.MethodGet, "/api/patterns.json", "", http.StatusNotFound},
 		{"svg POST", http.MethodPost, "/pattern/0.svg", "x", http.StatusMethodNotAllowed},
 		{"dot POST", http.MethodPost, "/pattern/1.dot", "x", http.StatusMethodNotAllowed},
-		{"search GET", http.MethodGet, "/api/search", "", http.StatusMethodNotAllowed},
-		{"suggest GET", http.MethodGet, "/api/suggest", "", http.StatusMethodNotAllowed},
-		{"suggest DELETE", http.MethodDelete, "/api/suggest", "", http.StatusMethodNotAllowed},
+		{"search GET", http.MethodGet, "/api/search", "", http.StatusNotFound},
+		{"search POST", http.MethodPost, "/api/search", "t # 0\nv 0 C\n", http.StatusNotFound},
+		{"suggest GET", http.MethodGet, "/api/suggest", "", http.StatusNotFound},
+		{"suggest DELETE", http.MethodDelete, "/api/suggest", "", http.StatusNotFound},
+		{"suggest POST", http.MethodPost, "/api/suggest", "t # 0\nv 0 C\n", http.StatusNotFound},
 		{"dot out of range", http.MethodGet, "/pattern/2.dot", "", http.StatusNotFound},
 		{"dot negative", http.MethodGet, "/pattern/-1.dot", "", http.StatusNotFound},
 		{"dot non-numeric", http.MethodGet, "/pattern/zero.dot", "", http.StatusNotFound},
 		{"dot empty index", http.MethodGet, "/pattern/.dot", "", http.StatusNotFound},
 		{"unknown extension", http.MethodGet, "/pattern/0.pdf", "", http.StatusNotFound},
 		{"bare pattern dir", http.MethodGet, "/pattern/", "", http.StatusNotFound},
+		{"nested pattern path", http.MethodGet, "/pattern/0/1.svg", "", http.StatusNotFound},
 		{"svg overflow index", http.MethodGet, "/pattern/99999999999999999999.svg", "", http.StatusNotFound},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -209,100 +197,126 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
-// TestSuggestEndpoint exercises POST /api/suggest end to end: not-enabled
-// answers 501, a partial query ranks the containing pattern first with its
-// text attached, and bad inputs answer 400.
-func TestSuggestEndpoint(t *testing.T) {
-	s := NewServer("x", testPatterns())
-	partial := "t # 0\nv 0 C\nv 1 O\ne 0 1\n"
-
-	post := func(path, body string) *httptest.ResponseRecorder {
-		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
-		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, req)
-		return rec
+// TestNewServerMountsAPIAndObservability checks the routing of the one
+// handler set: /v1/* reaches the pattern service, /metrics, /healthz and
+// pprof answer beside the panel.
+func TestNewServerMountsAPIAndObservability(t *testing.T) {
+	s, _ := newTestServer(t, "x")
+	rec := get(t, s, "/v1/patterns")
+	if rec.Code != http.StatusOK || rec.Header().Get("X-Snapshot-Version") != "1" {
+		t.Errorf("/v1/patterns: status %d, version header %q", rec.Code, rec.Header().Get("X-Snapshot-Version"))
 	}
-
-	if rec := post("/api/suggest", partial); rec.Code != http.StatusNotImplemented {
-		t.Fatalf("suggest before EnableSuggest: status %d, want 501", rec.Code)
+	if rec := get(t, s, "/metrics"); rec.Code != http.StatusOK || !strings.HasSuffix(rec.Body.String(), "# EOF\n") {
+		t.Errorf("/metrics: status %d, body %q", rec.Code, rec.Body.String())
 	}
-
-	s.EnableSuggest(suggest.NewEngine(s.Patterns), suggest.Options{})
-	rec := post("/api/suggest", partial)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	if rec := get(t, s, "/healthz"); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"status":"ok"`) {
+		t.Errorf("/healthz: status %d, body %q", rec.Code, rec.Body.String())
 	}
-	var out struct {
-		Stats       suggest.Stats `json:"suggest"`
-		Suggestions []struct {
-			Pattern   int    `json:"pattern"`
-			Contained bool   `json:"contained"`
-			Text      string `json:"text"`
-		} `json:"suggestions"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-		t.Fatalf("bad json: %v\n%s", err, rec.Body.String())
-	}
-	if len(out.Suggestions) == 0 || out.Stats.Patterns != 2 {
-		t.Fatalf("payload wrong: %+v", out)
-	}
-	// The C-O-N pattern contains the C-O partial; the C-triangle does not.
-	if out.Suggestions[0].Pattern != 0 || !out.Suggestions[0].Contained {
-		t.Errorf("top suggestion wrong: %+v", out.Suggestions[0])
-	}
-	if out.Suggestions[0].Text == "" {
-		t.Error("suggestion missing pattern text")
-	}
-
-	// Index page advertises the endpoint once enabled.
-	if body := get(t, s, "/").Body.String(); !strings.Contains(body, "/api/suggest") {
-		t.Error("index page does not mention /api/suggest after EnableSuggest")
-	}
-
-	if rec := post("/api/suggest", "garbage"); rec.Code != http.StatusBadRequest {
-		t.Errorf("garbage body: status %d", rec.Code)
-	}
-	if rec := post("/api/suggest?k=bad", partial); rec.Code != http.StatusBadRequest {
-		t.Errorf("bad k: status %d", rec.Code)
-	}
-	if rec := post("/api/suggest?k=1", partial); rec.Code != http.StatusOK {
-		t.Errorf("k=1: status %d", rec.Code)
+	if rec := get(t, s, "/debug/pprof/"); rec.Code != http.StatusOK {
+		t.Errorf("/debug/pprof/: status %d", rec.Code)
 	}
 }
 
-// TestEnableAPI mounts a stand-in /v1 handler and checks routing: /v1/*
-// reaches the API handler, everything else still reaches the panel.
-func TestEnableAPI(t *testing.T) {
-	s := NewServer("x", testPatterns())
-	api := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusTeapot)
-	})
-	s.EnableAPI(api)
-	if rec := get(t, s, "/v1/patterns"); rec.Code != http.StatusTeapot {
-		t.Errorf("/v1/patterns did not reach the API handler: %d", rec.Code)
-	}
-	if rec := get(t, s, "/"); rec.Code != http.StatusOK {
-		t.Errorf("panel broken after EnableAPI: %d", rec.Code)
-	}
-}
-
+// TestPatternsJSON checks that /v1/patterns on the panel's mux is the
+// JSON form of the panel: same snapshot, same cards, and texts in the
+// transaction format /v1/search accepts.
 func TestPatternsJSON(t *testing.T) {
-	s := NewServer("jsondb", testPatterns())
-	rec := get(t, s, "/api/patterns.json")
+	s, _ := newTestServer(t, "jsondb")
+	rec := get(t, s, "/v1/patterns")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
 	}
-	var out struct {
-		Dataset  string        `json:"dataset"`
-		Patterns []PatternView `json:"patterns"`
-	}
+	var out serve.PatternsResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
 		t.Fatalf("bad json: %v", err)
 	}
-	if out.Dataset != "jsondb" || len(out.Patterns) != 2 {
+	if out.Stats.Dataset != "jsondb" || len(out.Patterns) != 2 {
 		t.Errorf("payload wrong: %+v", out)
 	}
 	if out.Patterns[0].Edges != 2 || out.Patterns[1].Edges != 3 {
 		t.Errorf("pattern sizes wrong: %+v", out.Patterns)
+	}
+	for i, p := range out.Patterns {
+		db, err := graph.Read(strings.NewReader(p.Text), "text")
+		if err != nil || db.Len() != 1 {
+			t.Fatalf("pattern %d text is not one transaction-format graph: %v\n%s", i, err, p.Text)
+		}
+		var want strings.Builder
+		if err := graph.WriteDOT(&want, db.Graph(0), fmt.Sprintf("pattern%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		if got := get(t, s, fmt.Sprintf("/pattern/%d.dot", i)).Body.String(); got != want.String() {
+			t.Errorf("card %d DOT differs from /v1/patterns text:\n%s\nwant\n%s", i, got, want.String())
+		}
+	}
+}
+
+var (
+	headerRe = regexp.MustCompile(`\((\d+) patterns, version (\d+)\)`)
+	cardRe   = regexp.MustCompile(`class="card"`)
+)
+
+// TestPanelConsistentUnderRefresh issues panel GETs while refreshes swap
+// pattern sets of different sizes back to back: every index page must
+// render exactly the cards of one snapshot — as many as that version's
+// Stats.Patterns, which is the size of the set that version installed.
+// Run under -race by make serve-race.
+func TestPanelConsistentUnderRefresh(t *testing.T) {
+	three := append(testPatterns(), testPatterns()[0])
+	sets := [][]*core.Pattern{testPatterns(), testPatterns()[:1], three}
+	s, tn := newTestServer(t, "race", sets...)
+
+	const readers, reads = 4, 150
+	readersDone := make(chan struct{})
+	refreshes := make(chan int)
+	go func() {
+		n := 0
+		defer func() { refreshes <- n }()
+		for {
+			select {
+			case <-readersDone:
+				return
+			default:
+			}
+			if _, err := tn.Refresh(context.Background(), nil); err != nil {
+				t.Errorf("refresh %d: %v", n, err)
+				return
+			}
+			n++
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < reads; i++ {
+				rec := get(t, s, "/")
+				body := rec.Body.String()
+				m := headerRe.FindStringSubmatch(body)
+				if rec.Code != http.StatusOK || m == nil {
+					t.Errorf("index: status %d, no header in %q", rec.Code, body)
+					return
+				}
+				n, _ := strconv.Atoi(m[1])
+				v, _ := strconv.Atoi(m[2])
+				if cards := len(cardRe.FindAllString(body, -1)); cards != n {
+					t.Errorf("version %d: %d cards, header says %d patterns", v, cards, n)
+				}
+				if want := len(sets[(v-1)%len(sets)]); n != want {
+					t.Errorf("version %d: %d patterns, the set it installed has %d", v, n, want)
+				}
+				if rec := get(t, s, "/pattern/0.svg"); rec.Code != http.StatusOK {
+					t.Errorf("/pattern/0.svg: status %d", rec.Code)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(readersDone)
+	n := <-refreshes
+	if v := tn.Snapshot().Version(); v != uint64(n)+1 {
+		t.Errorf("final version %d after %d refreshes, want %d", v, n, n+1)
 	}
 }
