@@ -51,14 +51,15 @@ race:
 # diff-race runs only the differential tests, under -race, without result
 # caching (so cache-freshness never masks a divergence) and at GOMAXPROCS
 # 1, 2 and 4: the frozen matchers and the coverage and similarity engines
-# against internal/oracle (subiso, mcs, cover, simcache, core; the
+# against internal/oracle (subiso containment and embedding enumeration,
+# the CSR matching order in graph, mcs, cover, simcache, core; the
 # *Match(es)Legacy/Naive and concurrent Hammer tests there), full
 # selections against testdata/differential_golden.json (core, cluster,
 # root), the large-network suites (decomposition bit-identical across
 # GOMAXPROCS, text/binary loaders selecting identically), and the suggest
 # suite (unbudgeted rankings independent of GOMAXPROCS).
 diff-race:
-	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Differential|Match(es)?(Legacy|Naive)|Hammer' ./internal/subiso/ ./internal/mcs/ ./internal/simcache/ ./internal/cover/ ./internal/core/ ./internal/cluster/ ./internal/bignet/ ./internal/suggest/ .
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Differential|Match(es)?(Legacy|Naive)|Hammer' ./internal/subiso/ ./internal/graph/ ./internal/mcs/ ./internal/simcache/ ./internal/cover/ ./internal/core/ ./internal/cluster/ ./internal/bignet/ ./internal/suggest/ .
 
 # chaos runs the fault-injection suite under -race at GOMAXPROCS 1, 2 and
 # 4: injected worker panics and stalls in every pipeline phase must
@@ -135,8 +136,9 @@ bench-gate-resilience:
 
 # bench-gate-graph runs the frozen-graph matcher regression gate: it writes
 # BENCH_graph.json (VF2 containment and MCCS similarity, frozen CSR vs the
-# map-graph oracle.Contains and oracle MCCS) and fails if frozen VF2 is less
-# than 1.5x faster.
+# map-graph reference VF2 behind oracle.Contains — the search subiso ran
+# before it moved to the frozen matcher — and oracle MCCS) and fails if
+# frozen VF2 is less than 1.5x faster.
 bench-gate-graph:
 	BENCH_GATE_GRAPH=1 $(GO) test -run '^TestGraphBenchGate$$' -count=1 .
 

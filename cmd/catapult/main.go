@@ -21,6 +21,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -318,8 +319,9 @@ func runNetwork(ctx context.Context, path string, cfg catapult.Config) (*catapul
 	return nres.Result, nil
 }
 
-// serveMetrics starts the -metrics-addr observability server in the
-// background and returns the pipeline observer feeding it, the backing
+// serveMetrics binds the -metrics-addr listener, serves the observability
+// endpoints on it in the background, prints their URL from the bound
+// address, and returns the pipeline observer feeding it, the backing
 // registry (for process-level gauges), and a graceful shutdown hook:
 // /metrics serves the OpenMetrics exposition, /healthz liveness, and
 // /debug/pprof/ the standard profiling endpoints (CPU samples carry the
@@ -331,12 +333,17 @@ func serveMetrics(addr string) (catapult.Observer, *metrics.Registry, func(conte
 	mux := http.NewServeMux()
 	webui.MountObservability(mux, reg.Handler(), nil)
 	hs := &http.Server{Addr: addr, Handler: mux}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "catapult: metrics server: %v\n", err)
+		return metrics.NewTrace(reg), reg, hs.Shutdown
+	}
 	go func() {
-		if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+		if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fmt.Fprintf(os.Stderr, "catapult: metrics server: %v\n", err)
 		}
 	}()
-	fmt.Fprintf(os.Stderr, "metrics on http://localhost%s/metrics (pprof on /debug/pprof/)\n", addr)
+	fmt.Fprintf(os.Stderr, "metrics on %s/metrics (pprof on /debug/pprof/)\n", webui.BaseURL(ln.Addr()))
 	return metrics.NewTrace(reg), reg, hs.Shutdown
 }
 

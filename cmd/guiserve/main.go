@@ -116,13 +116,13 @@ func main() {
 		}
 	}
 	fmt.Fprintf(os.Stderr, "selected %d patterns\n", len(m.Patterns()))
-	fmt.Fprintf(os.Stderr, "serving pattern panel + /v1 pattern API on http://localhost%s/ (GET /v1/patterns, POST /v1/search, POST /v1/suggest, POST /v1/tenants/%s/refresh; /metrics, /healthz, /debug/pprof/)\n",
-		*addr, catapult.ServeDefaultTenant)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
 	}
+	fmt.Fprintf(os.Stderr, "serving pattern panel + /v1 pattern API on %s/ (GET /v1/patterns, POST /v1/search, POST /v1/suggest, POST /v1/tenants/%s/refresh; /metrics, /healthz, /debug/pprof/)\n",
+		webui.BaseURL(ln.Addr()), catapult.ServeDefaultTenant)
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	if err := gracefulServe(ln, srv, stop, *drain, flush); err != nil {

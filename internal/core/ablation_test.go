@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/canon"
 	"repro/internal/graph"
 )
 
@@ -107,7 +108,7 @@ func TestSelectNoDivAblationAvoidsDuplicates(t *testing.T) {
 		for j := i + 1; j < len(res.Patterns); j++ {
 			a, b := res.Patterns[i].Graph, res.Patterns[j].Graph
 			if a.Signature() == b.Signature() &&
-				isDuplicate(map[string][]*graph.Graph{a.Signature(): {b}}, a) {
+				canon.Equal(a, b) {
 				t.Errorf("duplicate patterns %d and %d under no-div ablation", i, j)
 			}
 		}

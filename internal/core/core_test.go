@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/canon"
 	"repro/internal/csg"
 	"repro/internal/graph"
 )
@@ -328,7 +329,7 @@ func TestSelectNoDuplicatePatterns(t *testing.T) {
 				d, _, _, _, _ := ctx.ScorePattern(a, []*graph.Graph{b})
 				_ = d
 				// Full isomorphism check.
-				if isDuplicate(map[string][]*graph.Graph{a.Signature(): {b}}, a) {
+				if canon.Equal(a, b) {
 					t.Errorf("patterns %d and %d are isomorphic", i, j)
 				}
 			}

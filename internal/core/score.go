@@ -69,20 +69,8 @@ func (ctx *Context) LCov(p *graph.Graph) float64 {
 // div = 1 by convention. A pattern isomorphic to an already-selected one
 // has div = 0 and thus score 0.
 func (ctx *Context) ScorePattern(p *graph.Graph, selected []*graph.Graph) (score, ccov, lcov, div, cog float64) {
-	ccov = ctx.CCov(p)
-	lcov = ctx.LCov(p)
-	cog = p.CognitiveLoad()
-	if len(selected) == 0 {
-		div = 1
-	} else {
-		// context.Background is never cancelled, so the error is nil.
-		d, _, _ := ged.MinDistanceCtx(context.Background(), p, selected)
-		div = float64(d)
-	}
-	if cog == 0 {
-		return 0, ccov, lcov, div, cog
-	}
-	score = ccov * lcov * div / cog
+	// context.Background is never cancelled, so the error is nil.
+	score, ccov, lcov, div, cog, _ = ctx.scoreWithCtx(context.Background(), p, selected, Options{})
 	return score, ccov, lcov, div, cog
 }
 

@@ -217,17 +217,3 @@ func (ctx *Context) proposingCSGs(top int) []int {
 	sort.Ints(out)
 	return out
 }
-
-// isDuplicate reports whether p is isomorphic to a graph already recorded
-// under the same signature (signature equality is necessary for
-// isomorphism, so only those need the exact check). Isomorphism is decided
-// by canonical forms — one canon computation per pair instead of the old
-// VF2 double-containment.
-func isDuplicate(seen map[string][]*graph.Graph, p *graph.Graph) bool {
-	for _, q := range seen[p.Signature()] {
-		if canon.Equal(q, p) {
-			return true
-		}
-	}
-	return false
-}

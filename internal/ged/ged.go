@@ -17,6 +17,10 @@
 // The cost model is the standard unit model: vertex insertion, deletion and
 // relabeling cost 1; edge insertion and deletion cost 1 (edges carry no
 // independent labels in the paper's data model).
+//
+// The exported entry points take mutable graphs and freeze their operands
+// (a memoized load); every computation below them reads the CSR arrays of
+// graph.Frozen (interned labels, sorted neighbor rows, edge pairs).
 package ged
 
 import (
@@ -64,8 +68,8 @@ func multisetIntersectionID(a, b map[graph.LabelID]int32) int {
 // Approx returns the bipartite-matching approximation of GED(a, b). The
 // result is an upper bound on the exact distance.
 func Approx(a, b *graph.Graph) int {
-	mapping := bipartiteAssignment(a, b)
-	return inducedCost(a, b, mapping)
+	fa, fb := a.Freeze(), b.Freeze()
+	return inducedCost(fa, fb, bipartiteAssignment(fa, fb))
 }
 
 // Exact returns GED(a, b) computed by A* within the given node budget
@@ -75,7 +79,7 @@ func Exact(a, b *graph.Graph, budget int) (dist int, exact bool) {
 	if budget <= 0 {
 		budget = DefaultBudget
 	}
-	if d, ok := astar(a, b, budget); ok {
+	if d, ok := astar(a.Freeze(), b.Freeze(), budget); ok {
 		return d, true
 	}
 	return Approx(a, b), false
@@ -171,8 +175,7 @@ func MinDistanceCtx(ctx context.Context, p *graph.Graph, ps []*graph.Graph) (min
 // edge-structure estimates and solves it with the Hungarian algorithm.
 // The returned slice maps each vertex of a to a vertex of b, or -1 for
 // deletion.
-func bipartiteAssignment(a, b *graph.Graph) []graph.VertexID {
-	fa, fb := a.Freeze(), b.Freeze()
+func bipartiteAssignment(a, b *graph.Frozen) []int32 {
 	na, nb := a.NumVertices(), b.NumVertices()
 	n := na + nb
 	const inf = 1 << 30
@@ -183,11 +186,11 @@ func bipartiteAssignment(a, b *graph.Graph) []graph.VertexID {
 	for i := 0; i < na; i++ {
 		for j := 0; j < nb; j++ {
 			c := 0
-			if fa.Label(int32(i)) != fb.Label(int32(j)) {
+			if a.Label(int32(i)) != b.Label(int32(j)) {
 				c = 1
 			}
 			// Local edge structure: at least |deg difference| edge edits.
-			c += absInt(int(fa.Degree(int32(i))) - int(fb.Degree(int32(j))))
+			c += absInt(int(a.Degree(int32(i))) - int(b.Degree(int32(j))))
 			cost[i][j] = c
 		}
 	}
@@ -195,7 +198,7 @@ func bipartiteAssignment(a, b *graph.Graph) []graph.VertexID {
 	for i := 0; i < na; i++ {
 		for j := 0; j < na; j++ {
 			if i == j {
-				cost[i][nb+j] = 1 + int(fa.Degree(int32(i)))
+				cost[i][nb+j] = 1 + int(a.Degree(int32(i)))
 			} else {
 				cost[i][nb+j] = inf
 			}
@@ -205,7 +208,7 @@ func bipartiteAssignment(a, b *graph.Graph) []graph.VertexID {
 	for i := 0; i < nb; i++ {
 		for j := 0; j < nb; j++ {
 			if i == j {
-				cost[na+i][j] = 1 + int(fb.Degree(int32(j)))
+				cost[na+i][j] = 1 + int(b.Degree(int32(j)))
 			} else {
 				cost[na+i][j] = inf
 			}
@@ -213,10 +216,10 @@ func bipartiteAssignment(a, b *graph.Graph) []graph.VertexID {
 	}
 	// eps -> eps is free.
 	assign := hungarian(cost)
-	mapping := make([]graph.VertexID, na)
+	mapping := make([]int32, na)
 	for i := 0; i < na; i++ {
 		if assign[i] < nb {
-			mapping[i] = graph.VertexID(assign[i])
+			mapping[i] = int32(assign[i])
 		} else {
 			mapping[i] = -1
 		}
@@ -226,8 +229,7 @@ func bipartiteAssignment(a, b *graph.Graph) []graph.VertexID {
 
 // inducedCost computes the exact edit cost of applying the given vertex
 // mapping (a -> b or -1 for delete; unmatched b vertices are inserted).
-func inducedCost(a, b *graph.Graph, mapping []graph.VertexID) int {
-	fa, fb := a.Freeze(), b.Freeze()
+func inducedCost(a, b *graph.Frozen, mapping []int32) int {
 	cost := 0
 	matchedB := make([]bool, b.NumVertices())
 	for i, bj := range mapping {
@@ -236,7 +238,7 @@ func inducedCost(a, b *graph.Graph, mapping []graph.VertexID) int {
 			continue
 		}
 		matchedB[bj] = true
-		if fa.Label(int32(i)) != fb.Label(int32(bj)) {
+		if a.Label(int32(i)) != b.Label(bj) {
 			cost++ // relabel
 		}
 	}
@@ -246,26 +248,28 @@ func inducedCost(a, b *graph.Graph, mapping []graph.VertexID) int {
 		}
 	}
 	// Edge deletions / matches: edges of a.
-	for _, e := range a.Edges() {
-		bu, bv := mapping[e.U], mapping[e.V]
-		if bu < 0 || bv < 0 || !fb.HasEdge(int32(bu), int32(bv)) {
+	ea := a.EdgePairs()
+	for k := 0; k < len(ea); k += 2 {
+		bu, bv := mapping[ea[k]], mapping[ea[k+1]]
+		if bu < 0 || bv < 0 || !b.HasEdge(bu, bv) {
 			cost++ // edge deleted (or re-created later as insertion? no:
 			// an a-edge with no image edge is exactly one deletion)
 		}
 	}
 	// Edge insertions: edges of b not covered by an a-edge image.
-	inv := make([]graph.VertexID, b.NumVertices())
+	inv := make([]int32, b.NumVertices())
 	for j := range inv {
 		inv[j] = -1
 	}
 	for i, bj := range mapping {
 		if bj >= 0 {
-			inv[bj] = graph.VertexID(i)
+			inv[bj] = int32(i)
 		}
 	}
-	for _, e := range b.Edges() {
-		au, av := inv[e.U], inv[e.V]
-		if au < 0 || av < 0 || !fa.HasEdge(int32(au), int32(av)) {
+	eb := b.EdgePairs()
+	for k := 0; k < len(eb); k += 2 {
+		au, av := inv[eb[k]], inv[eb[k+1]]
+		if au < 0 || av < 0 || !a.HasEdge(au, av) {
 			cost++
 		}
 	}
@@ -358,11 +362,11 @@ func minInt(a, b int) int {
 // Exact A*.
 
 type astarNode struct {
-	depth   int              // number of a-vertices decided
-	mapping []graph.VertexID // a -> b or -1
-	g       int              // cost so far
-	f       int              // g + heuristic
-	index   int              // heap bookkeeping
+	depth   int     // number of a-vertices decided
+	mapping []int32 // a -> b or -1
+	g       int     // cost so far
+	f       int     // g + heuristic
+	index   int     // heap bookkeeping
 }
 
 type nodeHeap []*astarNode
@@ -381,50 +385,49 @@ func (h *nodeHeap) Pop() interface{} {
 
 // astar runs A* over vertex-assignment prefixes. Returns (distance, true)
 // on success or (0, false) if the budget was exhausted.
-func astar(a, b *graph.Graph, budget int) (int, bool) {
+func astar(a, b *graph.Frozen, budget int) (int, bool) {
 	na, nb := a.NumVertices(), b.NumVertices()
 	open := &nodeHeap{}
 	heap.Init(open)
-	root := &astarNode{mapping: make([]graph.VertexID, 0, na)}
+	root := &astarNode{mapping: make([]int32, 0, na)}
 	root.f = heuristic(a, b, root.mapping)
 	heap.Push(open, root)
+	usedB := make([]bool, nb)
 	expanded := 0
 	for open.Len() > 0 {
 		cur := heap.Pop(open).(*astarNode)
 		if cur.depth == na {
-			return cur.g + completionCost(a, b, cur.mapping), true
+			return cur.g + completionCost(b, cur.mapping), true
 		}
 		expanded++
 		if expanded > budget {
 			return 0, false
 		}
-		ai := graph.VertexID(cur.depth)
-		usedB := make(map[graph.VertexID]bool, cur.depth)
+		ai := int32(cur.depth)
+		for j := range usedB {
+			usedB[j] = false
+		}
 		for _, bj := range cur.mapping {
 			if bj >= 0 {
 				usedB[bj] = true
 			}
 		}
 		// Substitute ai -> every free b vertex.
-		for j := 0; j < nb; j++ {
-			bj := graph.VertexID(j)
-			if usedB[bj] {
+		for j := int32(0); int(j) < nb; j++ {
+			if usedB[j] {
 				continue
 			}
-			child := extend(a, b, cur, ai, bj)
-			heap.Push(open, child)
+			heap.Push(open, extend(a, b, cur, ai, j))
 		}
 		// Delete ai.
-		child := extend(a, b, cur, ai, -1)
-		heap.Push(open, child)
+		heap.Push(open, extend(a, b, cur, ai, -1))
 	}
 	return 0, false
 }
 
 // extend creates the child node for mapping ai -> bj (or deletion if
 // bj < 0), computing the incremental cost.
-func extend(a, b *graph.Graph, parent *astarNode, ai, bj graph.VertexID) *astarNode {
-	fa, fb := a.Freeze(), b.Freeze()
+func extend(a, b *graph.Frozen, parent *astarNode, ai, bj int32) *astarNode {
 	delta := 0
 	if bj < 0 {
 		delta++ // vertex deletion
@@ -434,50 +437,41 @@ func extend(a, b *graph.Graph, parent *astarNode, ai, bj graph.VertexID) *astarN
 			}
 		}
 	} else {
-		if fa.Label(int32(ai)) != fb.Label(int32(bj)) {
+		if a.Label(ai) != b.Label(bj) {
 			delta++
 		}
 		for _, an := range a.Neighbors(ai) {
 			if int(an) < parent.depth {
 				img := parent.mapping[an]
-				if img < 0 || !fb.HasEdge(int32(bj), int32(img)) {
+				if img < 0 || !b.HasEdge(bj, img) {
 					delta++ // a-edge deleted
 				}
 			}
 		}
 		// b-edges from bj to earlier images with no matching a-edge are
 		// insertions.
-		for _, prevA := range decided(parent) {
-			img := parent.mapping[prevA]
-			if img >= 0 && fb.HasEdge(int32(bj), int32(img)) && !fa.HasEdge(int32(ai), int32(prevA)) {
+		for prevA, img := range parent.mapping {
+			if img >= 0 && b.HasEdge(bj, img) && !a.HasEdge(ai, int32(prevA)) {
 				delta++
 			}
 		}
 	}
-	m := append(append(make([]graph.VertexID, 0, parent.depth+1), parent.mapping...), bj)
+	m := append(append(make([]int32, 0, parent.depth+1), parent.mapping...), bj)
 	child := &astarNode{depth: parent.depth + 1, mapping: m, g: parent.g + delta}
 	if child.depth == a.NumVertices() {
 		// Goal node: the completion cost (inserting unmatched b vertices
 		// and their incident edges) is known exactly, so fold it into f.
 		// Otherwise the first goal popped need not be optimal.
-		child.f = child.g + completionCost(a, b, m)
+		child.f = child.g + completionCost(b, m)
 	} else {
 		child.f = child.g + heuristic(a, b, m)
 	}
 	return child
 }
 
-func decided(n *astarNode) []graph.VertexID {
-	out := make([]graph.VertexID, n.depth)
-	for i := range out {
-		out[i] = graph.VertexID(i)
-	}
-	return out
-}
-
 // completionCost finishes a full a-assignment: inserts unmatched b vertices
 // and every b edge with at least one unmatched endpoint.
-func completionCost(a, b *graph.Graph, mapping []graph.VertexID) int {
+func completionCost(b *graph.Frozen, mapping []int32) int {
 	matched := make([]bool, b.NumVertices())
 	for _, bj := range mapping {
 		if bj >= 0 {
@@ -490,8 +484,9 @@ func completionCost(a, b *graph.Graph, mapping []graph.VertexID) int {
 			cost++
 		}
 	}
-	for _, e := range b.Edges() {
-		if !matched[e.U] || !matched[e.V] {
+	eb := b.EdgePairs()
+	for k := 0; k < len(eb); k += 2 {
+		if !matched[eb[k]] || !matched[eb[k+1]] {
 			cost++
 		}
 	}
@@ -502,23 +497,21 @@ func completionCost(a, b *graph.Graph, mapping []graph.VertexID) int {
 // label-multiset mismatch between undecided a-vertices and unmatched
 // b-vertices (each mismatch costs at least one relabel/insert/delete).
 // Edge costs are not estimated (0 is admissible).
-func heuristic(a, b *graph.Graph, mapping []graph.VertexID) int {
-	fa, fb := a.Freeze(), b.Freeze()
+func heuristic(a, b *graph.Frozen, mapping []int32) int {
 	depth := len(mapping)
 	remA := make(map[graph.LabelID]int32)
-	for i := depth; i < fa.NumVertices(); i++ {
-		remA[fa.Label(int32(i))]++
+	for i := depth; i < a.NumVertices(); i++ {
+		remA[a.Label(int32(i))]++
 	}
-	remB := make(map[graph.LabelID]int32)
-	matched := make(map[graph.VertexID]bool, depth)
+	// The mapping is injective, so removing each image's label from b's
+	// label multiset leaves the labels of the unmatched b-vertices.
+	remB := make(map[graph.LabelID]int32, len(b.LabelCounts()))
+	for l, c := range b.LabelCounts() {
+		remB[l] = c
+	}
 	for _, bj := range mapping {
 		if bj >= 0 {
-			matched[bj] = true
-		}
-	}
-	for j := 0; j < fb.NumVertices(); j++ {
-		if !matched[graph.VertexID(j)] {
-			remB[fb.Label(int32(j))]++
+			remB[b.Label(bj)]--
 		}
 	}
 	nA, nB := 0, 0

@@ -22,6 +22,7 @@
 package graph
 
 import (
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -230,23 +231,63 @@ func (f *Frozen) HasEdge(u, v int32) bool {
 func (f *Frozen) EdgePairs() []int32 { return f.edges }
 
 // MatchingOrder returns the VF2 pattern matching order over this graph's
-// vertices, computed on first use and cached. The order is identical to
-// MatchingOrder on the mutable graph.
+// vertices, computed on first use and cached: a connectivity-respecting
+// order whose first vertex is the highest-degree one and where each
+// subsequent vertex is adjacent to an earlier one where possible, so
+// candidate sets stay small. It reads only the CSR arrays, so a
+// Graph.Freeze snapshot and a FrozenBuilder snapshot of the same graph get
+// the same order: ties break by sort.Slice over ascending vertex IDs and
+// sorted neighbor rows, which is deterministic for equal input.
 func (f *Frozen) MatchingOrder() []int32 {
 	if p := f.order.Load(); p != nil {
 		return *p
 	}
-	src := f.g
-	if src == nil {
-		src = f.Thaw() // standalone snapshot: order via a throwaway thaw
+	n := f.NumVertices()
+	order := make([]int32, 0, n)
+	inOrder := make([]bool, n)
+
+	verts := make([]int32, n)
+	for i := range verts {
+		verts[i] = int32(i)
 	}
-	ord := MatchingOrder(src)
-	out := make([]int32, len(ord))
-	for i, v := range ord {
-		out[i] = int32(v)
+	sort.Slice(verts, func(i, j int) bool {
+		return f.Degree(verts[i]) > f.Degree(verts[j])
+	})
+
+	for len(order) < n {
+		// Pick the highest-degree vertex not yet placed to start a
+		// (possibly new) component.
+		var seed int32 = -1
+		for _, v := range verts {
+			if !inOrder[v] {
+				seed = v
+				break
+			}
+		}
+		order = append(order, seed)
+		inOrder[seed] = true
+		// BFS-expand this component in degree-descending frontier order.
+		frontier := append([]int32(nil), f.Neighbors(seed)...)
+		for len(frontier) > 0 {
+			sort.Slice(frontier, func(i, j int) bool {
+				return f.Degree(frontier[i]) > f.Degree(frontier[j])
+			})
+			v := frontier[0]
+			frontier = frontier[1:]
+			if inOrder[v] {
+				continue
+			}
+			order = append(order, v)
+			inOrder[v] = true
+			for _, w := range f.Neighbors(v) {
+				if !inOrder[w] {
+					frontier = append(frontier, w)
+				}
+			}
+		}
 	}
-	f.order.Store(&out)
-	return out
+	f.order.Store(&order)
+	return order
 }
 
 // CanonicalMemo returns the canonical string stored by SetCanonicalMemo,

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/canon"
 	"repro/internal/graph"
+	"repro/internal/oracle"
 )
 
 func TestInterner(t *testing.T) {
@@ -129,20 +130,60 @@ func TestFrozenAgainstMutable(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("label multiset mismatch: %v vs %v", got, want)
 		}
-		// Matching order agrees between frozen cache and direct computation.
-		ord := graph.MatchingOrder(g)
-		ford := f.MatchingOrder()
-		if len(ord) != len(ford) {
-			t.Fatal("matching order length mismatch")
-		}
-		for i := range ord {
-			if graph.VertexID(ford[i]) != ord[i] {
-				t.Fatalf("matching order mismatch at %d", i)
-			}
-		}
 		if f.Bytes() <= 0 {
 			t.Fatal("non-positive footprint")
 		}
+	}
+}
+
+// TestDifferentialMatchingOrderOracle checks the CSR matching order
+// against the oracle's map-graph reference order, vertex for vertex, on
+// random graphs — sparse and dense, often disconnected, with many degree
+// ties — frozen from the mutable graph and built standalone by a
+// FrozenBuilder (edges added in shuffled order, no backing graph).
+func TestDifferentialMatchingOrderOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	labels := []string{"C", "N", "O"}
+	same := func(what string, got []int32, want []graph.VertexID) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: order length %d, oracle %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if graph.VertexID(got[i]) != want[i] {
+				t.Fatalf("%s: order %v, oracle %v", what, got, want)
+			}
+		}
+	}
+	for iter := 0; iter < 300; iter++ {
+		n := rng.Intn(16)
+		g := graph.New(n, 0)
+		for i := 0; i < n; i++ {
+			g.AddVertex(labels[rng.Intn(len(labels))])
+		}
+		for tries := rng.Intn(3*n + 1); tries > 0; tries-- {
+			u, v := graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n))
+			if u != v && !g.HasEdge(u, v) {
+				g.MustAddEdge(u, v)
+			}
+		}
+		want := oracle.MatchingOrder(g)
+		same("Graph.Freeze", g.Freeze().MatchingOrder(), want)
+
+		b := graph.NewFrozenBuilder(n, g.NumEdges())
+		for v := 0; v < n; v++ {
+			b.AddVertex(g.Label(graph.VertexID(v)))
+		}
+		es := g.Edges()
+		for _, i := range rng.Perm(len(es)) {
+			b.AddEdge(int32(es[i].V), int32(es[i].U))
+		}
+		sf := b.Build(0)
+		if sf.Graph() != nil {
+			t.Fatal("FrozenBuilder snapshot has a backing graph")
+		}
+		same("FrozenBuilder", sf.MatchingOrder(), want)
+		same("FrozenBuilder vs its thaw", sf.MatchingOrder(), oracle.MatchingOrder(sf.Thaw()))
 	}
 }
 

@@ -53,11 +53,10 @@ type Graph struct {
 	// index to each data graph"). Zero-valued for standalone graphs.
 	ID int
 
-	labels    []string          // vertex labels, indexed by VertexID
-	adj       [][]VertexID      // adjacency lists, sorted ascending
-	edges     []Edge            // canonical edge list, insertion order
-	edgeSet   map[Edge]struct{} // membership
-	edgeLabel map[Edge]string   // explicit edge labels (optional)
+	labels    []string        // vertex labels, indexed by VertexID
+	adj       [][]VertexID    // adjacency lists, sorted ascending
+	edges     []Edge          // canonical edge list, insertion order
+	edgeLabel map[Edge]string // explicit edge labels (optional)
 
 	// frozen memoizes the immutable CSR snapshot of this graph; structural
 	// mutators drop it. See Freeze in frozen.go.
@@ -70,7 +69,6 @@ func New(n, m int) *Graph {
 		labels:    make([]string, 0, n),
 		adj:       make([][]VertexID, 0, n),
 		edges:     make([]Edge, 0, m),
-		edgeSet:   make(map[Edge]struct{}, m),
 		edgeLabel: nil,
 	}
 }
@@ -98,13 +96,9 @@ func (g *Graph) AddEdge(u, v VertexID) error {
 		return fmt.Errorf("graph: self loop on vertex %d", u)
 	}
 	e := NewEdge(u, v)
-	if g.edgeSet == nil {
-		g.edgeSet = make(map[Edge]struct{})
-	}
-	if _, dup := g.edgeSet[e]; dup {
+	if g.HasEdge(u, v) {
 		return fmt.Errorf("graph: duplicate edge %v", e)
 	}
-	g.edgeSet[e] = struct{}{}
 	g.edges = append(g.edges, e)
 	g.adj[u] = insertSorted(g.adj[u], v)
 	g.adj[v] = insertSorted(g.adj[v], u)
@@ -196,10 +190,19 @@ func CanonicalEdgeLabel(a, b string) string {
 	return a + "-" + b
 }
 
-// HasEdge reports whether the undirected edge {u, v} exists.
+// HasEdge reports whether the undirected edge {u, v} exists, by binary
+// search over the shorter of the two sorted adjacency lists. Vertices out
+// of range have no edges.
 func (g *Graph) HasEdge(u, v VertexID) bool {
-	_, ok := g.edgeSet[NewEdge(u, v)]
-	return ok
+	if u < 0 || v < 0 || int(u) >= len(g.adj) || int(v) >= len(g.adj) {
+		return false
+	}
+	if len(g.adj[v]) < len(g.adj[u]) {
+		u, v = v, u
+	}
+	nb := g.adj[u]
+	i := sort.Search(len(nb), func(i int) bool { return nb[i] >= v })
+	return i < len(nb) && nb[i] == v
 }
 
 // Neighbors returns the sorted adjacency list of v. The returned slice is
@@ -260,17 +263,13 @@ func (g *Graph) CognitiveLoad() float64 {
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
-		ID:      g.ID,
-		labels:  append([]string(nil), g.labels...),
-		adj:     make([][]VertexID, len(g.adj)),
-		edges:   append([]Edge(nil), g.edges...),
-		edgeSet: make(map[Edge]struct{}, len(g.edgeSet)),
+		ID:     g.ID,
+		labels: append([]string(nil), g.labels...),
+		adj:    make([][]VertexID, len(g.adj)),
+		edges:  append([]Edge(nil), g.edges...),
 	}
 	for i, nb := range g.adj {
 		c.adj[i] = append([]VertexID(nil), nb...)
-	}
-	for e := range g.edgeSet {
-		c.edgeSet[e] = struct{}{}
 	}
 	if g.edgeLabel != nil {
 		c.edgeLabel = make(map[Edge]string, len(g.edgeLabel))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/pipeline"
@@ -166,6 +167,10 @@ func (s *Searcher) extend() {
 	if s.ctx != nil && s.nodes&ctxCheckMask == ctxCheckMask && s.ctxErr == nil {
 		if err := s.ctx.Err(); err != nil {
 			s.ctxErr = err
+		} else if dl, ok := s.ctx.Deadline(); ok && !time.Now().Before(dl) {
+			// A deadline timer fires only at a scheduling point, which
+			// kernels busy on every P delay by 10ms or more; read the clock.
+			s.ctxErr = context.DeadlineExceeded
 		}
 	}
 	if s.ctxErr != nil {

@@ -2,9 +2,11 @@ package mcs_test
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/mcs"
@@ -106,5 +108,31 @@ func TestMCSZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("frozen MCCS steady state allocates: %v allocs/run, want 0", allocs)
+	}
+}
+
+// pastDeadlineCtx reports a deadline that has passed while Err is still
+// nil: the state a deadline context is in until its timer fires, which
+// search kernels busy on every P can delay by 10ms or more.
+type pastDeadlineCtx struct{ context.Context }
+
+func (pastDeadlineCtx) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
+// TestMCCSStopsAtPassedDeadline: the searcher checks the deadline against
+// the clock when it polls, so a search whose deadline has passed stops
+// with context.DeadlineExceeded instead of running to its node budget.
+func TestMCCSStopsAtPassedDeadline(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g1 := randomGraph(rng, 24, 60, []string{"C"})
+	g2 := randomGraph(rng, 24, 60, []string{"C"})
+	ctx := pastDeadlineCtx{context.Background()}
+	if _, err := mcs.MCCSCtx(ctx, g1, g2, 0); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("MCCSCtx past its deadline: err = %v, want context.DeadlineExceeded", err)
+	}
+	if _, err := mcs.SimilarityMCCSCtx(ctx, g1, g2, 0); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("SimilarityMCCSCtx past its deadline: err = %v, want context.DeadlineExceeded", err)
+	}
+	if _, err := mcs.MCCSCtx(context.Background(), g1, g2, 0); err != nil {
+		t.Fatalf("MCCSCtx without a deadline: %v", err)
 	}
 }

@@ -77,8 +77,9 @@ type Result struct {
 // worst-case latency.
 const DefaultBudget = 200000
 
-// ctxCheckMask throttles cancellation polling to once every 256 explored
-// search nodes.
+// ctxCheckMask throttles cancellation polling (the context's done state,
+// and its deadline against the clock) to once every 256 explored search
+// nodes.
 const ctxCheckMask = 0xff
 
 // Subgraph materializes the common subgraph described by r as a standalone

@@ -1,8 +1,9 @@
 // Package oracle holds the independent reference implementations the
 // differential tests compare the production matchers against: the
 // map-graph MCS/MCCS search (the frozen searcher in internal/mcs must
-// explore its exact search tree), map-graph VF2 containment on top of
-// subiso.FindOne, sequential per-host containment verdicts (what the
+// explore its exact search tree), the map-graph VF2 search and its
+// matching order (the frozen subiso.Matcher and graph.Frozen.MatchingOrder
+// must reproduce them), sequential per-host containment verdicts (what the
 // memoized, index-pruned, parallel internal/cover engine must answer), and
 // a sequential, uncached similarity loop over canonical representatives
 // (what the memoized, parallel internal/simcache engine must answer). It
@@ -20,14 +21,7 @@ import (
 	"repro/internal/canon"
 	"repro/internal/graph"
 	"repro/internal/mcs"
-	"repro/internal/subiso"
 )
-
-// Contains reports whether pattern p is subgraph-isomorphic to target t,
-// using the map-graph VF2 matcher behind subiso.FindOne.
-func Contains(t, p *graph.Graph) bool {
-	return subiso.FindOne(t, p) != nil
-}
 
 // Verdicts returns, for every host in order, whether it contains p: one
 // Contains call per host, no pruning, no memo, no parallelism.

@@ -3,6 +3,7 @@ package subiso
 import (
 	"context"
 	"sync"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/pipeline"
@@ -13,37 +14,39 @@ import (
 // target-used bitmap — and grows it monotonically, so a warm Matcher runs
 // a containment check with zero allocations: candidates are iterated
 // directly off the frozen neighbor slices and boolean answers never
-// materialize a Mapping. A Matcher is not safe for concurrent use; the
-// package-level entry points draw from a sync.Pool.
+// materialize a Mapping. Embedding enumeration (FindOne/FindAll) walks the
+// same search tree and copies the core array into a Mapping at each leaf.
+// A Matcher is not safe for concurrent use; the package-level entry points
+// draw from a sync.Pool.
 //
-// The frozen matcher explores the exact same search tree as the map-graph
-// matcher behind FindOne/FindAll: the matching order is
-// graph.MatchingOrder cached on the Frozen, candidate and neighbor
-// enumeration follow the same sorted order, and node accounting is
-// identical — so Contains, ContainsCtx and ContainsBudget answers
-// (including non-definitive budget exhaustion) are bit-identical across
-// the two representations.
+// The search tree is the one of the map-graph reference VF2 in
+// internal/oracle: the matching order is Frozen.MatchingOrder, candidate
+// and neighbor enumeration follow the same sorted order, and node
+// accounting is identical — so containment verdicts (including
+// non-definitive budget exhaustion) and enumerated embeddings, in order,
+// are bit-identical to the reference.
 type Matcher struct {
-	t, p     *graph.Frozen
-	order    []int32
-	core     []int32 // pattern -> target, -1 if unmapped
-	used     []bool  // target vertex already mapped
-	nodes    int
-	maxNodes int
-	found    bool
-	stopped  bool
-	ctx      context.Context
-	ctxErr   error
+	t, p         *graph.Frozen
+	order        []int32
+	core         []int32 // pattern -> target, -1 if unmapped
+	used         []bool  // target vertex already mapped
+	nodes        int
+	maxNodes     int
+	found        bool
+	stopped      bool
+	ctx          context.Context
+	ctxErr       error
+	enumerate    bool      // collect every leaf into results
+	maxSolutions int       // enumeration stops at this many results; <= 0 = all
+	results      []Mapping // enumerated embeddings, in search order
 }
-
-// NewMatcher returns an empty matcher ready for use.
-func NewMatcher() *Matcher { return new(Matcher) }
 
 var matcherPool = sync.Pool{New: func() any { return new(Matcher) }}
 
-// ctxCheckMask throttles cancellation polling: the context is consulted
-// once every 256 expanded search nodes, keeping the overhead of a
-// cancellable search negligible while bounding cancellation latency.
+// ctxCheckMask throttles cancellation polling: the context (its done state,
+// and its deadline against the clock) is consulted once every 256 expanded
+// search nodes, keeping the overhead of a cancellable search negligible
+// while bounding cancellation latency.
 const ctxCheckMask = 0xff
 
 // reset prepares the scratch state for a search of pattern p in target t.
@@ -71,6 +74,9 @@ func (m *Matcher) reset(t, p *graph.Frozen) {
 	m.stopped = false
 	m.ctx = nil
 	m.ctxErr = nil
+	m.enumerate = false
+	m.maxSolutions = 0
+	m.results = nil
 }
 
 // Contains reports whether pattern p is subgraph-isomorphic to target t.
@@ -120,6 +126,23 @@ func (m *Matcher) ContainsBudget(t, p *graph.Frozen, maxNodes int) (contained, d
 	return false, !m.stopped || m.nodes < maxNodes
 }
 
+// findAll enumerates up to opts.MaxSolutions embeddings of p in t (all of
+// them when zero) within opts.MaxNodes expanded nodes (unbounded when
+// zero), in search order.
+func (m *Matcher) findAll(t, p *graph.Frozen, opts Options) []Mapping {
+	if quickRejectFrozen(t, p) {
+		return nil
+	}
+	m.reset(t, p)
+	m.maxNodes = opts.MaxNodes
+	m.enumerate = true
+	m.maxSolutions = opts.MaxSolutions
+	m.search(0)
+	ms := m.results
+	m.results = nil // the pooled matcher must not retain caller-owned results
+	return ms
+}
+
 func (m *Matcher) search(depth int) {
 	if m.stopped {
 		return
@@ -131,6 +154,12 @@ func (m *Matcher) search(depth int) {
 	if m.ctx != nil && m.nodes&ctxCheckMask == ctxCheckMask {
 		if err := m.ctx.Err(); err != nil {
 			m.ctxErr = err
+		} else if dl, ok := m.ctx.Deadline(); ok && !time.Now().Before(dl) {
+			// A deadline timer fires only at a scheduling point, which
+			// kernels busy on every P delay by 10ms or more; read the clock.
+			m.ctxErr = context.DeadlineExceeded
+		}
+		if m.ctxErr != nil {
 			m.stopped = true
 			return
 		}
@@ -138,6 +167,16 @@ func (m *Matcher) search(depth int) {
 	m.nodes++
 	if depth == len(m.order) {
 		m.found = true
+		if m.enumerate {
+			mp := make(Mapping, len(m.core))
+			for i, tv := range m.core {
+				mp[i] = graph.VertexID(tv)
+			}
+			m.results = append(m.results, mp)
+			if m.maxSolutions <= 0 || len(m.results) < m.maxSolutions {
+				return
+			}
+		}
 		m.stopped = true
 		return
 	}
@@ -145,8 +184,7 @@ func (m *Matcher) search(depth int) {
 	pv := m.order[depth]
 	// Candidate enumeration: if pv has an already-mapped pattern neighbor,
 	// candidates are the target neighbors of that neighbor's image;
-	// otherwise every target vertex. Both are iterated in ascending order,
-	// matching the map-graph matcher.
+	// otherwise every target vertex. Both are iterated in ascending order.
 	for _, pn := range m.p.Neighbors(pv) {
 		if m.core[pn] >= 0 {
 			for _, tv := range m.t.Neighbors(m.core[pn]) {
@@ -189,8 +227,9 @@ func (m *Matcher) try(pv, tv int32, depth int) {
 	m.used[tv] = false
 }
 
-// quickRejectFrozen applies the same cheap necessary conditions as
-// quickReject, on precomputed frozen summaries.
+// quickRejectFrozen applies cheap necessary conditions before the search,
+// on precomputed frozen summaries: the pattern fits in the target and every
+// pattern label occurs at least as often in the target.
 func quickRejectFrozen(t, p *graph.Frozen) bool {
 	if p.NumVertices() == 0 {
 		return false // empty pattern trivially embeds

@@ -2,10 +2,13 @@ package subiso
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
+	"repro/internal/oracle"
 	"repro/internal/raceflag"
 )
 
@@ -26,11 +29,11 @@ func randomGraph(rng *rand.Rand, n, m int, labels []string) *graph.Graph {
 }
 
 // TestFrozenMatchesLegacy cross-checks the frozen matcher against the
-// map-graph matcher behind FindOne on random (host, pattern) pairs:
-// identical answers for Contains, and identical (contained, definitive)
-// pairs for ContainsBudget at tight budgets — the latter only holds
-// because the two matchers expand the exact same search tree in the same
-// order.
+// map-graph reference VF2 of internal/oracle on random (host, pattern)
+// pairs: identical answers for Contains, and identical (contained,
+// definitive) pairs for ContainsBudget at tight budgets — the latter only
+// holds because the two matchers expand the exact same search tree in the
+// same order.
 func TestFrozenMatchesLegacy(t *testing.T) {
 	labels := []string{"C", "N", "O", "S"}
 	rng := rand.New(rand.NewSource(42))
@@ -44,14 +47,7 @@ func TestFrozenMatchesLegacy(t *testing.T) {
 			pat = randomGraph(rng, 2+rng.Intn(5), 1+rng.Intn(6), labels)
 		}
 
-		legacy := func() bool {
-			if quickReject(host, pat) {
-				return false
-			}
-			s := newState(host, pat, Options{MaxSolutions: 1})
-			s.search(0)
-			return len(s.results) > 0
-		}()
+		legacy := oracle.Contains(host, pat)
 		if got := Contains(host, pat); got != legacy {
 			t.Fatalf("iter %d: frozen Contains=%v legacy=%v\nhost=%v\npat=%v",
 				iter, got, legacy, host, pat)
@@ -61,17 +57,7 @@ func TestFrozenMatchesLegacy(t *testing.T) {
 		}
 
 		for _, budget := range []int{1, 5, 50, 100000} {
-			wantC, wantD := func() (bool, bool) {
-				if quickReject(host, pat) {
-					return false, true
-				}
-				s := newState(host, pat, Options{MaxSolutions: 1, MaxNodes: budget})
-				s.search(0)
-				if len(s.results) > 0 {
-					return true, true
-				}
-				return false, !s.stopped || s.nodes < budget
-			}()
+			wantC, wantD := oracle.ContainsBudget(host, pat, budget)
 			gotC, gotD := ContainsBudget(host, pat, budget)
 			if gotC != wantC || gotD != wantD {
 				t.Fatalf("iter %d budget %d: frozen=(%v,%v) legacy=(%v,%v)",
@@ -99,6 +85,43 @@ func TestContainsCtxPollsOnEntry(t *testing.T) {
 	}
 }
 
+// pastDeadlineCtx reports a deadline that has passed while Err is still
+// nil: the state a deadline context is in until its timer fires, which
+// search kernels busy on every P can delay by 10ms or more.
+type pastDeadlineCtx struct{ context.Context }
+
+func (pastDeadlineCtx) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
+// TestContainsCtxStopsAtPassedDeadline: the matcher checks the deadline
+// against the clock when it polls, so a search whose deadline has passed
+// answers context.DeadlineExceeded instead of running to its verdict. The
+// pattern, a 5-cycle, never embeds in the bipartite K8,8, so the search
+// expands far more than ctxCheckMask nodes.
+func TestContainsCtxStopsAtPassedDeadline(t *testing.T) {
+	host := graph.New(16, 64)
+	for i := 0; i < 16; i++ {
+		host.AddVertex("C")
+	}
+	for u := 0; u < 8; u++ {
+		for v := 8; v < 16; v++ {
+			host.MustAddEdge(graph.VertexID(u), graph.VertexID(v))
+		}
+	}
+	cycle := graph.New(5, 5)
+	for i := 0; i < 5; i++ {
+		cycle.AddVertex("C")
+	}
+	for i := 0; i < 5; i++ {
+		cycle.MustAddEdge(graph.VertexID(i), graph.VertexID((i+1)%5))
+	}
+	if ok, err := ContainsCtx(pastDeadlineCtx{context.Background()}, host, cycle); ok || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("ContainsCtx past its deadline = (%v, %v), want (false, context.DeadlineExceeded)", ok, err)
+	}
+	if ok, err := ContainsCtx(context.Background(), host, cycle); ok || err != nil {
+		t.Fatalf("ContainsCtx without a deadline = (%v, %v), want (false, nil)", ok, err)
+	}
+}
+
 // TestVF2ZeroAllocSteadyState pins the frozen VF2 inner loop at zero
 // steady-state allocations: once the matcher scratch and the pattern's
 // cached matching order are warm, a containment check allocates nothing.
@@ -122,7 +145,7 @@ func TestVF2ZeroAllocSteadyState(t *testing.T) {
 	if len(pairs) == 0 {
 		t.Fatal("no test pairs")
 	}
-	m := NewMatcher()
+	m := new(Matcher)
 	for _, pr := range pairs { // warm scratch buffers and order caches
 		m.Contains(pr.t, pr.p)
 	}

@@ -78,11 +78,11 @@ func TestFindAllCountsAutomorphisms(t *testing.T) {
 	// A single unlabeled-equivalent edge C-C has 6 embeddings in CCC
 	// triangle (3 edges × 2 directions).
 	p := build([]string{"C", "C"}, [][2]int{{0, 1}})
-	if got := Count(tri, p, 0); got != 6 {
-		t.Errorf("Count = %d, want 6", got)
+	if got := len(FindAll(tri, p, Options{})); got != 6 {
+		t.Errorf("embedding count = %d, want 6", got)
 	}
 	// Triangle in triangle: 3! = 6 automorphisms.
-	if got := Count(tri, tri, 0); got != 6 {
+	if got := len(FindAll(tri, tri, Options{})); got != 6 {
 		t.Errorf("automorphism count = %d, want 6", got)
 	}
 }
@@ -94,21 +94,8 @@ func TestMaxSolutionsLimit(t *testing.T) {
 	if len(ms) != 2 {
 		t.Errorf("MaxSolutions not honored: got %d", len(ms))
 	}
-	if got := Count(tri, p, 3); got != 3 {
-		t.Errorf("Count limit not honored: got %d", got)
-	}
-}
-
-func TestForEachEarlyStop(t *testing.T) {
-	tri := build([]string{"C", "C", "C"}, [][2]int{{0, 1}, {1, 2}, {2, 0}})
-	p := build([]string{"C", "C"}, [][2]int{{0, 1}})
-	calls := 0
-	ForEach(tri, p, func(Mapping) bool {
-		calls++
-		return false
-	})
-	if calls != 1 {
-		t.Errorf("ForEach did not stop after callback returned false: %d calls", calls)
+	if got := len(FindAll(tri, p, Options{MaxSolutions: 3})); got != 3 {
+		t.Errorf("MaxSolutions 3 not honored: got %d", got)
 	}
 }
 

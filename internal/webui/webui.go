@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"html/template"
+	"net"
 	"net/http"
 	netpprof "net/http/pprof"
 	"strconv"
@@ -74,6 +75,19 @@ func MountObservability(mux *http.ServeMux, metricsHandler http.Handler, health 
 	mux.HandleFunc("/debug/pprof/profile", netpprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", netpprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", netpprof.Trace)
+}
+
+// BaseURL returns the http:// URL at which a local client reaches a TCP
+// listener bound to a: its IP and port, with an unspecified IP (from ":0",
+// "0.0.0.0:0" or "[::]:0") shown as localhost. Startup banners print
+// it from the bound listener rather than the -addr flag, so an explicit
+// host or an ephemeral port reads as a usable URL.
+func BaseURL(a net.Addr) string {
+	host, port, _ := net.SplitHostPort(a.String())
+	if ip := net.ParseIP(host); ip == nil || ip.IsUnspecified() {
+		host = "localhost"
+	}
+	return "http://" + net.JoinHostPort(host, port)
 }
 
 // ServeHTTP implements http.Handler.

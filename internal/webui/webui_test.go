@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -214,6 +215,45 @@ func TestNewServerMountsAPIAndObservability(t *testing.T) {
 	}
 	if rec := get(t, s, "/debug/pprof/"); rec.Code != http.StatusOK {
 		t.Errorf("/debug/pprof/: status %d", rec.Code)
+	}
+}
+
+// TestBaseURL checks the startup-banner URL on real listeners: an explicit
+// host keeps its address, an unspecified one reads as localhost, the port
+// is the bound one (never the requested 0), and the URL reaches the
+// listener's /healthz.
+func TestBaseURL(t *testing.T) {
+	for _, tc := range []struct{ addr, prefix string }{
+		{"127.0.0.1:0", "http://127.0.0.1:"},
+		{":0", "http://localhost:"},
+	} {
+		ln, err := net.Listen("tcp", tc.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, port, _ := net.SplitHostPort(ln.Addr().String())
+		url := BaseURL(ln.Addr())
+		if url != tc.prefix+port || port == "0" {
+			t.Errorf("BaseURL(%s bound as %s) = %q, want %q", tc.addr, ln.Addr(), url, tc.prefix+port)
+		}
+		mux := http.NewServeMux()
+		MountObservability(mux, http.NotFoundHandler(), nil)
+		hs := &http.Server{Handler: mux}
+		go hs.Serve(ln)
+		resp, err := http.Get(url + "/healthz")
+		if err != nil {
+			t.Errorf("GET %s/healthz: %v", url, err)
+		} else {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("GET %s/healthz: status %d", url, resp.StatusCode)
+			}
+		}
+		hs.Close()
+	}
+	v6 := &net.TCPAddr{IP: net.IPv6loopback, Port: 8080}
+	if got := BaseURL(v6); got != "http://[::1]:8080" {
+		t.Errorf("BaseURL(%s) = %q, want http://[::1]:8080", v6, got)
 	}
 }
 
